@@ -20,6 +20,7 @@
 #include <memory>
 #include <mutex>
 
+#include "backend/parallel_eval.h"
 #include "base/deadline.h"
 #include "base/logging.h"
 #include "base/rng.h"
@@ -28,7 +29,6 @@
 #include "logic/parser.h"
 #include "rewriting/rewriter.h"
 #include "serving/answer_engine.h"
-#include "serving/parallel_eval.h"
 #include "workload/university.h"
 
 namespace ontorew {

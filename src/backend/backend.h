@@ -1,6 +1,8 @@
 #ifndef ONTOREW_BACKEND_BACKEND_H_
 #define ONTOREW_BACKEND_BACKEND_H_
 
+#include <memory>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -17,8 +19,10 @@
 // punchline is that FO-rewritability lets certain-answer computation be
 // delegated to a plain SQL engine; a Backend is that delegation point.
 // The serving layer (AnswerEngine) computes the rewriting and hands the
-// resulting UCQ to a Backend, which holds the extensional data and
-// returns answer tuples as Value rows.
+// resulting UCQ or Datalog program to a Backend, which holds the
+// extensional data and returns answer tuples as Value rows. Every serve
+// runs through one: an engine configured without a backend creates an
+// InMemoryBackend.
 //
 // Contract (asserted by tests/differential_test.cc against the chase
 // oracle): for the same loaded database, every backend returns the *same*
@@ -60,8 +64,15 @@ class Backend {
 
   // Replaces all stored facts with `db`'s contents; `program` fixes the
   // schema (predicates the data does not mention yet are still created,
-  // empty). Must be called before Execute.
-  virtual Status Load(const TgdProgram& program, const Database& db) = 0;
+  // empty). Must be called before Execute. `db` is non-null and never
+  // mutated, so a backend may keep it instead of copying the data (the
+  // in-memory backend does: an engine refresh copies nothing).
+  virtual Status Load(const TgdProgram& program,
+                      std::shared_ptr<const Database> db) = 0;
+  // Loads a private copy of `db`.
+  Status Load(const TgdProgram& program, const Database& db) {
+    return Load(program, std::make_shared<const Database>(db));
+  }
 
   // Executes a UCQ over the loaded facts and returns the sorted,
   // deduplicated answer tuples. Accumulates scan counters into *stats
@@ -72,33 +83,42 @@ class Backend {
 
   // Executes a factored nonrecursive Datalog rewriting (the target=cte
   // path). Same answer contract as Execute — the program is only a
-  // compressed spelling of a UCQ. The base implementation unfolds the
-  // program (rewriting/datalog.h) and delegates to Execute; backends
-  // with native support (SQLite's WITH-CTE emission) override it and
-  // never materialize the flat union.
+  // compressed spelling of a UCQ, and a UCQ is the program with no aux
+  // predicates.
   virtual StatusOr<std::vector<Tuple>> ExecuteDatalog(
       const DatalogProgram& program, const BackendExecOptions& options,
-      EvalStats* stats = nullptr);
+      EvalStats* stats = nullptr) = 0;
 };
 
-// The reference backend: a copy of the Database evaluated with the
-// existing index-nested-loop evaluator, disjuncts fanned across the
-// parallel_eval worker pool.
+// The reference backend, and the AnswerEngine's default: the loaded
+// Database is shared, not copied, and evaluated with the index-nested-loop
+// evaluator, disjuncts fanned across the parallel_eval worker pool. A
+// program is unfolded to its flat union first (rewriting/datalog.h).
 class InMemoryBackend : public Backend {
  public:
   InMemoryBackend() = default;
 
+  using Backend::Load;
   std::string_view name() const override { return "inmemory"; }
-  Status Load(const TgdProgram& program, const Database& db) override;
+  Status Load(const TgdProgram& program,
+              std::shared_ptr<const Database> db) override;
   StatusOr<std::vector<Tuple>> Execute(const UnionOfCqs& ucq,
                                        const BackendExecOptions& options,
                                        EvalStats* stats = nullptr) override;
+  StatusOr<std::vector<Tuple>> ExecuteDatalog(
+      const DatalogProgram& program, const BackendExecOptions& options,
+      EvalStats* stats = nullptr) override;
 
-  const Database& db() const { return db_; }
+  // The loaded data (null before Load). A concurrent Load swaps the
+  // pointer, never the pointee, so the result stays valid while held.
+  std::shared_ptr<const Database> db() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return db_;
+  }
 
  private:
-  Database db_;
-  bool loaded_ = false;
+  mutable std::mutex mutex_;  // Guards db_ (the pointer, not the data).
+  std::shared_ptr<const Database> db_;
 };
 
 }  // namespace ontorew

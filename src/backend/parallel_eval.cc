@@ -1,4 +1,4 @@
-#include "serving/parallel_eval.h"
+#include "backend/parallel_eval.h"
 
 #include <algorithm>
 #include <atomic>

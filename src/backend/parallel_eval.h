@@ -1,5 +1,5 @@
-#ifndef ONTOREW_SERVING_PARALLEL_EVAL_H_
-#define ONTOREW_SERVING_PARALLEL_EVAL_H_
+#ifndef ONTOREW_BACKEND_PARALLEL_EVAL_H_
+#define ONTOREW_BACKEND_PARALLEL_EVAL_H_
 
 #include <cstddef>
 #include <vector>
@@ -63,4 +63,4 @@ StatusOr<std::vector<Tuple>> ParallelEvaluate(
 
 }  // namespace ontorew
 
-#endif  // ONTOREW_SERVING_PARALLEL_EVAL_H_
+#endif  // ONTOREW_BACKEND_PARALLEL_EVAL_H_

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "base/strings.h"
 #include "logic/atom.h"
 #include "rewriting/cte_sql.h"
+#include "rewriting/datalog.h"
 #include "rewriting/sql.h"
 
 namespace ontorew {
@@ -192,8 +194,10 @@ Status SqliteBackend::EnsureTable(PredicateId p) {
   return Status::Ok();
 }
 
-Status SqliteBackend::Load(const TgdProgram& program, const Database& db) {
+Status SqliteBackend::Load(const TgdProgram& program,
+                           std::shared_ptr<const Database> data) {
   OREW_RETURN_IF_ERROR(open_status_);
+  const Database& db = *data;
   std::lock_guard<std::mutex> lock(mutex_);
   loaded_ = false;
 
@@ -283,6 +287,19 @@ Status SqliteBackend::Load(const TgdProgram& program, const Database& db) {
 StatusOr<std::vector<Tuple>> SqliteBackend::Execute(
     const UnionOfCqs& ucq, const BackendExecOptions& options,
     EvalStats* stats) {
+  // A UCQ is the program with no aux predicates; its SQL is UcqToSql's.
+  DatalogProgram program;
+  program.arity = ucq.arity();
+  program.output.reserve(ucq.disjuncts().size());
+  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
+    program.output.push_back(DatalogRule{cq.answer_terms(), cq.body()});
+  }
+  return ExecuteDatalog(program, options, stats);
+}
+
+StatusOr<std::vector<Tuple>> SqliteBackend::ExecuteDatalog(
+    const DatalogProgram& program, const BackendExecOptions& options,
+    EvalStats* stats) {
   OREW_RETURN_IF_ERROR(open_status_);
   std::lock_guard<std::mutex> lock(mutex_);
   if (!loaded_) {
@@ -291,109 +308,30 @@ StatusOr<std::vector<Tuple>> SqliteBackend::Execute(
   OREW_RETURN_IF_ERROR(options.cancel.Check("sqlite.exec"));
   OREW_RETURN_IF_ERROR(CheckFaultPoint("backend.exec"));
 
-  // An empty union would produce zero chunks below and silently return
-  // zero rows; keep it an error, as UcqToSql reports for a whole union.
-  OREW_RETURN_IF_ERROR(ucq.Validate());
-
   // SQLite refuses compound SELECTs wider than SQLITE_LIMIT_COMPOUND_SELECT
-  // (500 by default) — a saturated union like university_q3's 1000
-  // disjuncts cannot even be *prepared* as one statement. Oversized
-  // unions are split into limit-sized chunks, each executed separately,
-  // and the answer sets merged; the all-or-nothing contract holds because
-  // any chunk failure discards everything.
-  const int compound_limit =
-      sqlite3_limit(conn_, SQLITE_LIMIT_COMPOUND_SELECT, -1);
-  const int chunk_size =
-      compound_limit > 0 ? compound_limit : ucq.size();
-
+  // (500 by default; university_q3's flat union has 1000 arms), so the
+  // emitter nests wide CTE bodies and splits a wide output union into
+  // statements. Any statement failure discards every answer.
   TraceSpan emit_span(options.trace, "emit");
-  std::vector<std::string> sqls;
-  std::int64_t sql_bytes = 0;
-  for (int start = 0; start < ucq.size(); start += chunk_size) {
-    const auto first = ucq.disjuncts().begin() + start;
-    const auto last = ucq.disjuncts().begin() +
-                      std::min(start + chunk_size, ucq.size());
-    StatusOr<std::string> sql_or =
-        UcqToSql(UnionOfCqs(std::vector<ConjunctiveQuery>(first, last)),
-                 *vocab_);
-    if (!sql_or.ok()) {
-      emit_span.AnnotateStatus(sql_or.status());
-      return sql_or.status();
-    }
-    sql_bytes += static_cast<std::int64_t>(sql_or->size());
-    sqls.push_back(std::move(sql_or).value());
+  StatusOr<std::vector<std::string>> sqls = DatalogToCteSqlStatements(
+      program, *vocab_, sqlite3_limit(conn_, SQLITE_LIMIT_COMPOUND_SELECT, -1));
+  if (!sqls.ok()) {
+    emit_span.AnnotateStatus(sqls.status());
+    return sqls.status();
   }
+  std::int64_t sql_bytes = 0;
+  for (const std::string& sql : *sqls) sql_bytes += std::ssize(sql);
   emit_span.Attr("sql_bytes", sql_bytes);
-  emit_span.Attr("disjuncts",
-                 static_cast<std::int64_t>(ucq.disjuncts().size()));
-  if (sqls.size() > 1) {
-    emit_span.Attr("chunks", static_cast<std::int64_t>(sqls.size()));
+  emit_span.Attr("cte_count", static_cast<std::int64_t>(program.cte_count()));
+  emit_span.Attr("rules", static_cast<std::int64_t>(program.total_rules()));
+  if (sqls->size() > 1) {
+    emit_span.Attr("chunks", static_cast<std::int64_t>(sqls->size()));
   }
   emit_span.End();
 
   // Constants that appear only in the query still need a decoding (a
   // constant answer term comes back as a result cell), and their
   // encodings must not collide with loaded ones.
-  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    OREW_RETURN_IF_ERROR(PrepareQuerySymbols(cq.answer_terms(), cq.body()));
-  }
-
-  if (sqls.size() == 1) return RunQuerySql(sqls[0], ucq.arity(), options, stats);
-  std::vector<Tuple> answers;
-  for (const std::string& sql : sqls) {
-    OREW_ASSIGN_OR_RETURN(std::vector<Tuple> part,
-                          RunQuerySql(sql, ucq.arity(), options, stats));
-    answers.insert(answers.end(), part.begin(), part.end());
-  }
-  std::sort(answers.begin(), answers.end());
-  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
-  return answers;
-}
-
-StatusOr<std::vector<Tuple>> SqliteBackend::ExecuteDatalog(
-    const DatalogProgram& program, const BackendExecOptions& options,
-    EvalStats* stats) {
-  OREW_RETURN_IF_ERROR(open_status_);
-  // Each CTE body and the top-level union is one compound SELECT, capped
-  // by SQLITE_LIMIT_COMPOUND_SELECT. Factored programs stay far below the
-  // default 500, but a pathological one falls back to the unfolded union,
-  // which Execute chunks transparently.
-  // The fallback call must happen with mutex_ released: it unfolds the
-  // program and re-enters Execute, which locks the same non-recursive
-  // mutex_ — returning from inside the guarded block would self-deadlock.
-  bool fallback = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const int compound_limit =
-        sqlite3_limit(conn_, SQLITE_LIMIT_COMPOUND_SELECT, -1);
-    std::size_t widest = program.output.size();
-    for (const DatalogAux& aux : program.aux) {
-      widest = std::max(widest, aux.rules.size());
-    }
-    fallback = compound_limit > 0 &&
-               widest > static_cast<std::size_t>(compound_limit);
-  }
-  if (fallback) return Backend::ExecuteDatalog(program, options, stats);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!loaded_) {
-    return FailedPreconditionError("SqliteBackend: ExecuteDatalog before "
-                                   "Load");
-  }
-  OREW_RETURN_IF_ERROR(options.cancel.Check("sqlite.exec"));
-  OREW_RETURN_IF_ERROR(CheckFaultPoint("backend.exec"));
-
-  TraceSpan emit_span(options.trace, "emit");
-  StatusOr<std::string> sql_or = DatalogToCteSql(program, *vocab_);
-  if (!sql_or.ok()) {
-    emit_span.AnnotateStatus(sql_or.status());
-    return sql_or.status();
-  }
-  std::string sql = std::move(sql_or).value();
-  emit_span.Attr("sql_bytes", static_cast<std::int64_t>(sql.size()));
-  emit_span.Attr("cte_count", static_cast<std::int64_t>(program.cte_count()));
-  emit_span.Attr("rules", static_cast<std::int64_t>(program.total_rules()));
-  emit_span.End();
-
   for (const DatalogRule& rule : program.output) {
     OREW_RETURN_IF_ERROR(PrepareQuerySymbols(rule.head, rule.body));
   }
@@ -403,7 +341,16 @@ StatusOr<std::vector<Tuple>> SqliteBackend::ExecuteDatalog(
     }
   }
 
-  return RunQuerySql(sql, program.arity, options, stats);
+  std::vector<Tuple> answers;
+  for (const std::string& sql : *sqls) {
+    OREW_RETURN_IF_ERROR(Scan(sql, program.arity, options, stats, &answers));
+  }
+  // SQL's UNION already deduplicates *encodings* within a statement; sort
+  // and deduplicate in Value order across statements so the result is
+  // byte-identical to the in-memory path.
+  std::sort(answers.begin(), answers.end());
+  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
+  return answers;
 }
 
 Status SqliteBackend::PrepareQuerySymbols(const std::vector<Term>& head,
@@ -424,9 +371,9 @@ Status SqliteBackend::PrepareQuerySymbols(const std::vector<Term>& head,
   return Status::Ok();
 }
 
-StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
-    const std::string& sql, int arity, const BackendExecOptions& options,
-    EvalStats* stats) {
+Status SqliteBackend::Scan(const std::string& sql, int arity,
+                           const BackendExecOptions& options,
+                           EvalStats* stats, std::vector<Tuple>* answers) {
   sqlite3_stmt* stmt = nullptr;
   for (int attempt = 0;;) {
     const int rc = sqlite3_prepare_v2(conn_, sql.c_str(), -1, &stmt, nullptr);
@@ -458,14 +405,15 @@ StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
     }
   }
 
-  std::vector<Tuple> answers;
+  const std::size_t first_row = answers->size();
   std::int64_t rows_matched = 0;
-  // The scan restarts from scratch on SQLITE_BUSY/SQLITE_LOCKED (answers
-  // cleared, statement reset): a busy retry must stay all-or-nothing, the
-  // same contract cancellation has. An armed "backend.busy" fault trips
-  // exactly like a busy return from the statement.
+  // The scan restarts from scratch on SQLITE_BUSY/SQLITE_LOCKED (this
+  // statement's rows dropped, statement reset): a busy retry must stay
+  // all-or-nothing, the same contract cancellation has. An armed
+  // "backend.busy" fault trips exactly like a busy return from the
+  // statement.
   for (int busy_attempt = 0;;) {
-    answers.clear();
+    answers->resize(first_row);
     rows_matched = 0;
     bool busy = !CheckFaultPoint("backend.busy").ok();
     for (; !busy;) {
@@ -510,7 +458,7 @@ StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
         tuple.push_back(Value::Constant(id));
       }
       if (has_null && options.drop_tuples_with_nulls) continue;
-      answers.push_back(std::move(tuple));
+      answers->push_back(std::move(tuple));
     }
     if (!busy) break;
     Status backoff = WaitBusyBackoff(busy_attempt++, options.cancel, "step");
@@ -524,14 +472,10 @@ StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
   const int fullscan_steps =
       sqlite3_stmt_status(stmt, SQLITE_STMTSTATUS_FULLSCAN_STEP, 0);
   if (stats != nullptr) stats->tuples_examined += fullscan_steps;
-
-  // SQL's UNION already deduplicates *encodings*; sort and deduplicate in
-  // Value order so the result is byte-identical to the in-memory path.
-  std::sort(answers.begin(), answers.end());
-  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
   scan_span.Attr("fullscan_steps", static_cast<std::int64_t>(fullscan_steps));
-  scan_span.Attr("rows", static_cast<std::int64_t>(answers.size()));
-  return answers;
+  scan_span.Attr("rows",
+                 static_cast<std::int64_t>(answers->size() - first_row));
+  return Status::Ok();
 }
 
 StatusOr<std::int64_t> SqliteBackend::StoredTuples() {

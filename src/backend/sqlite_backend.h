@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -21,7 +22,8 @@ struct sqlite3;  // Opaque handle; <sqlite3.h> stays out of this header.
 // SqliteBackend loads a Database into system libsqlite3 (in-memory by
 // default, or a file), executing the DDL from TableToSql and bulk
 // inserts inside one transaction with prepared statements, and executes
-// UCQs via UcqToSql.
+// UCQs and factored Datalog programs as SQL through one path: a UCQ is
+// the program with no aux predicates (see ExecuteDatalog).
 //
 // Value encoding (see DESIGN.md "Backends"): a constant is stored as its
 // SqlConstantText — exactly the text the query emitter's literals
@@ -88,11 +90,15 @@ class SqliteBackend : public Backend {
   // inserts all tuples in one transaction. Errors: Internal on SQLite
   // failures (including a failed open in the constructor),
   // InvalidArgument on ambiguous constant encodings (see above).
-  Status Load(const TgdProgram& program, const Database& db) override;
+  Status Load(const TgdProgram& program,
+              std::shared_ptr<const Database> db) override;
 
-  // Emits the UCQ as SQL and executes it. Predicates the loaded schema
-  // does not know are created empty first (a missing relation is an
-  // empty relation, as in the in-memory evaluator). Errors:
+  using Backend::Load;
+
+  // Runs the UCQ as the program with no aux predicates (see
+  // ExecuteDatalog), so its SQL is UcqToSql's. Predicates the loaded
+  // schema does not know are created empty first (a missing relation is
+  // an empty relation, as in the in-memory evaluator). Errors:
   // FailedPrecondition before a successful Load, InvalidArgument on
   // invalid queries or ambiguous constant encodings,
   // DeadlineExceeded/Cancelled when options.cancel trips mid-statement,
@@ -103,11 +109,11 @@ class SqliteBackend : public Backend {
                                        const BackendExecOptions& options,
                                        EvalStats* stats = nullptr) override;
 
-  // Native execution of a factored rewriting: emits the program as ONE
-  // WITH-CTE SQL statement (rewriting/cte_sql.h) and runs it through the
-  // same prepared-statement scan as Execute — the flat union is never
-  // materialized, in SQL text or anywhere else. Same errors as Execute;
-  // the "emit" trace span records sql_bytes, cte_count and rules.
+  // Runs the program as WITH-CTE SQL (rewriting/cte_sql.h), never
+  // materializing the flat union. Same errors as Execute; the "emit" span
+  // records sql_bytes, cte_count, rules and, for a split union, chunks.
+  // This is the one statement path: it emits the program under the
+  // connection's compound-select limit and runs every statement.
   StatusOr<std::vector<Tuple>> ExecuteDatalog(
       const DatalogProgram& program, const BackendExecOptions& options,
       EvalStats* stats = nullptr) override;
@@ -116,8 +122,8 @@ class SqliteBackend : public Backend {
   StatusOr<std::int64_t> StoredTuples();
 
   // Lowers SQLITE_LIMIT_COMPOUND_SELECT on this connection so tests can
-  // exercise the oversized-union chunking in Execute and the unfold
-  // fallback in ExecuteDatalog without building 500-disjunct programs.
+  // exercise the output-union split and the nested CTE bodies without
+  // building 500-rule programs.
   Status SetCompoundSelectLimitForTest(int limit);
 
   // Busy/locked attempts absorbed by backoff so far (injected or real) —
@@ -145,13 +151,12 @@ class SqliteBackend : public Backend {
   // Callers hold mutex_.
   Status PrepareQuerySymbols(const std::vector<Term>& head,
                              const std::vector<Atom>& body);
-  // Prepares and scans one emitted SQL query: busy-retried prepare,
-  // progress-handler cancellation, EXPLAIN-plan capture on the "scan"
-  // span, row decoding, sort+dedup. Callers hold mutex_ and have checked
-  // loaded_. Shared by Execute (UNION SQL) and ExecuteDatalog (CTE SQL).
-  StatusOr<std::vector<Tuple>> RunQuerySql(const std::string& sql, int arity,
-                                           const BackendExecOptions& options,
-                                           EvalStats* stats);
+  // Prepares and scans one emitted statement, appending its decoded rows
+  // to *answers: busy-retried prepare, progress-handler cancellation,
+  // EXPLAIN-plan capture on the "scan" span. Callers hold mutex_.
+  Status Scan(const std::string& sql, int arity,
+              const BackendExecOptions& options, EvalStats* stats,
+              std::vector<Tuple>* answers);
 
   Vocabulary* vocab_;
   SqliteBackendOptions options_;

@@ -36,11 +36,18 @@ class Deadline {
 
   static Deadline Infinite() { return Deadline(); }
   static Deadline At(Clock::time_point when) { return Deadline(when); }
+  // Saturates to Infinite() rather than overflowing into the past.
   static Deadline After(Clock::duration budget) {
-    return Deadline(Clock::now() + budget);
+    const Clock::time_point now = Clock::now();
+    return budget > Clock::time_point::max() - now ? Infinite()
+                                                   : Deadline(now + budget);
   }
   static Deadline AfterMillis(std::int64_t millis) {
-    return After(std::chrono::milliseconds(millis));
+    using std::chrono::milliseconds;  // Checked before converting.
+    return millis > std::chrono::duration_cast<milliseconds>(
+                        Clock::duration::max()).count()
+               ? Infinite()
+               : After(milliseconds(millis));
   }
 
   bool is_infinite() const { return !has_deadline_; }

@@ -2,6 +2,7 @@
 #define ONTOREW_REWRITING_CTE_SQL_H_
 
 #include <string>
+#include <vector>
 
 #include "base/status.h"
 #include "logic/vocabulary.h"
@@ -42,9 +43,18 @@ std::string CtePrefixFor(const Vocabulary& vocab);
 
 // Renders the whole factored program as one WITH-CTE SQL query. A
 // program with no aux predicates degenerates to the plain UNION (no WITH
-// clause). Errors on an invalid program.
+// clause), byte-identical to UcqToSql. Errors on an invalid program.
 StatusOr<std::string> DatalogToCteSql(const DatalogProgram& program,
                                       const Vocabulary& vocab);
+
+// The same SQL under a cap of `max_compound_select` arms per compound
+// SELECT (SQLite's SQLITE_LIMIT_COMPOUND_SELECT; none when <= 0): a wider
+// aux body nests as `SELECT * FROM (arms 1..L) UNION SELECT * FROM (...)`,
+// and a wider output union splits into statements, each with the whole
+// WITH clause, whose answers union to the program's.
+StatusOr<std::vector<std::string>> DatalogToCteSqlStatements(
+    const DatalogProgram& program, const Vocabulary& vocab,
+    int max_compound_select);
 
 }  // namespace ontorew
 

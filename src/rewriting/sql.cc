@@ -97,22 +97,23 @@ std::string SqlIdentifier(std::string_view name) {
 
 StatusOr<std::string> CqToSql(const ConjunctiveQuery& cq,
                               const Vocabulary& vocab) {
-  return CqToSqlResolved(cq, vocab, [&vocab](PredicateId p) {
-    return SqlIdentifier(vocab.PredicateName(p));
-  });
+  OREW_RETURN_IF_ERROR(cq.Validate());
+  return RuleToSqlResolved(cq.answer_terms(), cq.body(), vocab,
+                           [&vocab](PredicateId p) {
+                             return SqlIdentifier(vocab.PredicateName(p));
+                           });
 }
 
-StatusOr<std::string> CqToSqlResolved(const ConjunctiveQuery& cq,
-                                      const Vocabulary& vocab,
-                                      const SqlTableResolver& resolver) {
-  OREW_RETURN_IF_ERROR(cq.Validate());
-
+std::string RuleToSqlResolved(const std::vector<Term>& head,
+                              const std::vector<Atom>& body,
+                              const Vocabulary& vocab,
+                              const SqlTableResolver& resolver) {
   // First binding site of each variable: "t<i>.c<j>".
   std::unordered_map<VariableId, std::string> binding;
   std::vector<std::string> from;
   std::vector<std::string> where;
-  for (std::size_t i = 0; i < cq.body().size(); ++i) {
-    const Atom& atom = cq.body()[i];
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    const Atom& atom = body[i];
     std::string alias = StrCat("t", i);
     from.push_back(StrCat(resolver(atom.predicate()), " AS ", alias));
     for (int j = 0; j < atom.arity(); ++j) {
@@ -130,8 +131,8 @@ StatusOr<std::string> CqToSqlResolved(const ConjunctiveQuery& cq,
   }
 
   std::vector<std::string> select;
-  for (std::size_t i = 0; i < cq.answer_terms().size(); ++i) {
-    Term t = cq.answer_terms()[i];
+  for (std::size_t i = 0; i < head.size(); ++i) {
+    Term t = head[i];
     std::string value =
         t.is_constant() ? SqlLiteral(t.id(), vocab) : binding.at(t.id());
     select.push_back(StrCat(value, " AS a", i + 1));

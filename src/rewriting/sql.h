@@ -39,12 +39,15 @@ StatusOr<std::string> CqToSql(const ConjunctiveQuery& cq,
 // base predicates keep the default mapping.
 using SqlTableResolver = std::function<std::string(PredicateId)>;
 
-// As CqToSql, but each body atom's FROM entry is named by `resolver`.
-// Column references stay c1..ck regardless of the resolved name, so
-// resolved CTEs must declare that column list.
-StatusOr<std::string> CqToSqlResolved(const ConjunctiveQuery& cq,
-                                      const Vocabulary& vocab,
-                                      const SqlTableResolver& resolver);
+// As CqToSql for the rule `head :- body`, but each body atom's FROM
+// entry is named by `resolver`. Column references stay c1..ck regardless
+// of the resolved name, so resolved CTEs must declare that column list.
+// The rule must be valid (a non-empty body holding every head variable):
+// callers validate it.
+std::string RuleToSqlResolved(const std::vector<Term>& head,
+                              const std::vector<Atom>& body,
+                              const Vocabulary& vocab,
+                              const SqlTableResolver& resolver);
 
 // Renders the whole union. Errors on an invalid or empty UCQ.
 StatusOr<std::string> UcqToSql(const UnionOfCqs& ucq,

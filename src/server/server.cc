@@ -487,7 +487,7 @@ OntologyServer::Reply OntologyServer::HandleTenants() {
     reply.info.push_back(
         StrCat(name, " inflight=",
                tenant->inflight.load(std::memory_order_relaxed),
-               " backend=", tenant->use_sqlite ? "sqlite" : "memory"));
+               " backend=", tenant->engine->options().backend->name()));
   }
   return reply;
 }

@@ -98,7 +98,7 @@ struct TenantSpec {
   std::string facts_text;
   TenantQuota quota;
   // Evaluate through a per-tenant in-memory SqliteBackend instead of the
-  // built-in parallel evaluator. SQLite serializes on one connection, so
+  // engine's default InMemoryBackend. SQLite serializes on one connection, so
   // the server also holds the tenant's vocabulary lock across the whole
   // Serve (SQL emission and row decoding read the vocabulary).
   bool use_sqlite = false;

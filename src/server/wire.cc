@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "base/strings.h"
 
@@ -42,8 +43,11 @@ StatusOr<std::int64_t> ParseInt(std::string_view text, std::string_view what) {
     if (c < '0' || c > '9') {
       return InvalidArgumentError(StrCat("bad ", what, ": '", text, "'"));
     }
-    value = value * 10 + (c - '0');
-    if (value < 0) return InvalidArgumentError(StrCat(what, " overflows"));
+    const int digit = c - '0';
+    if (value > (std::numeric_limits<std::int64_t>::max() - digit) / 10) {
+      return InvalidArgumentError(StrCat(what, " overflows"));
+    }
+    value = value * 10 + digit;
   }
   return value;
 }

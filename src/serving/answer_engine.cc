@@ -8,7 +8,6 @@
 #include "logic/canonical.h"
 #include "rewriting/cte_sql.h"
 #include "rewriting/dag_rewriter.h"
-#include "rewriting/datalog.h"
 #include "rewriting/sql.h"
 
 namespace ontorew {
@@ -101,30 +100,31 @@ AnswerEngine::AnswerEngine(TgdProgram program, Database db,
       cache_(options_.shared_cache != nullptr
                  ? options_.shared_cache
                  : std::make_shared<RewriteCache>(options_.cache_capacity)) {
+  if (!options_.backend) options_.backend = std::make_shared<InMemoryBackend>();
+  const std::string prefix = StrCat("backend_", options_.backend->name());
+  exec_metric_ = StrCat(prefix, "_exec");
+  exec_ns_metric_ = StrCat(prefix, "_exec_ns");
+  load_metric_ = StrCat(prefix, "_load");
+  load_ns_metric_ = StrCat(prefix, "_load_ns");
   ReloadBackend();
 }
 
 AnswerEngine::Snapshot AnswerEngine::CurrentSnapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return Snapshot{program_, db_, fingerprint_};
+  return Snapshot{program_, db_, fingerprint_, data_generation_};
 }
 
 void AnswerEngine::ReloadBackend() {
-  if (options_.backend == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    backend_load_status_ = Status::Ok();
-    return;
-  }
   const Snapshot snap = CurrentSnapshot();
-  const std::string prefix = StrCat("backend_", options_.backend->name());
   Status status;
   {
-    ScopedTimer timer(&metrics_, StrCat(prefix, "_load_ns"));
-    status = options_.backend->Load(*snap.program, *snap.db);
+    ScopedTimer timer(&metrics_, load_ns_metric_);
+    status = options_.backend->Load(*snap.program, snap.db);
   }
-  if (status.ok()) metrics_.Increment(StrCat(prefix, "_load"));
+  if (status.ok()) metrics_.Increment(load_metric_);
   std::lock_guard<std::mutex> lock(mutex_);
   backend_load_status_ = std::move(status);
+  backend_loading_ = false;
 }
 
 void AnswerEngine::AddTgd(Tgd tgd) {
@@ -149,6 +149,8 @@ void AnswerEngine::ReplaceDatabase(Database db) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     db_ = std::move(next);
+    ++data_generation_;
+    backend_loading_ = true;
   }
   ReloadBackend();
 }
@@ -165,7 +167,7 @@ bool AnswerEngine::ChaseTerminates() const {
     if (wa_cache_.has_value() && wa_cache_->first == fingerprint_) {
       return wa_cache_->second;
     }
-    snap = Snapshot{program_, db_, fingerprint_};
+    snap = Snapshot{program_, db_, fingerprint_, data_generation_};
   }
   // Classify outside the lock (the classifier walks the whole program).
   const bool weakly_acyclic = IsWeaklyAcyclic(*snap.program);
@@ -174,16 +176,6 @@ bool AnswerEngine::ChaseTerminates() const {
   // swapped in mid-classification must not inherit this verdict.
   wa_cache_ = {snap.fingerprint, weakly_acyclic};
   return weakly_acyclic;
-}
-
-StatusOr<std::shared_ptr<const UnionOfCqs>> AnswerEngine::Rewrite(
-    const UnionOfCqs& query, const CancelScope& cancel,
-    const TraceContext& trace) {
-  StatusOr<std::shared_ptr<const CachedRewriting>> cached =
-      RewriteInternal(query, cancel, trace, nullptr, CurrentSnapshot(),
-                      RewriteTarget::kUcq);
-  if (!cached.ok()) return cached.status();
-  return UcqOf(*cached);
 }
 
 StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
@@ -417,57 +409,65 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
 
   // Pin the program/data for the whole request: a concurrent AddTgd or
   // ReplaceDatabase swaps the engine's snapshot without disturbing this
-  // rewrite/chase/eval, and the cache entry written below is keyed by the
-  // pinned fingerprint.
-  const Snapshot snap = CurrentSnapshot();
-
-  AnswerResult result;
-  StatusOr<std::shared_ptr<const CachedRewriting>> rewriting =
-      RewriteInternal(query, scope, trace, &result.cache_hit, snap, target,
-                      shed_optional_work);
-  if (!rewriting.ok()) {
-    // Graceful degradation: a rewrite that ran out of budget (deadline or
-    // divergence cap) on a chase-terminating program can still be
-    // answered exactly, by materialization.
-    if (options_.chase_fallback && IsBudgetFailure(rewriting.status()) &&
-        ChaseTerminates()) {
-      TraceSpan chase_span(trace, "chase");
-      chase_span.Attr("fallback", "chase");
-      ChaseOptions chase_options = options_.fallback_chase;
-      chase_options.cancel = scope;
-      chase_options.trace = chase_span.context();
-      StatusOr<std::vector<Tuple>> answers =
-          CertainAnswersViaChase(query, *snap.program, *snap.db,
-                                 chase_options);
-      if (!answers.ok()) {
-        chase_span.AnnotateStatus(answers.status());
-        return answers.status();
+  // rewrite/chase, and the cache entry written is keyed by the pinned
+  // fingerprint. The backend holds only the latest data, so a
+  // ReplaceDatabase that lands before evaluation ends makes the attempt
+  // stale: it is served again against the new snapshot, and answers never
+  // mix two states. An AddTgd alone leaves the attempt valid: the pinned
+  // program's rewriting over unchanged data answers the pinned state.
+  for (;;) {
+    const Snapshot snap = CurrentSnapshot();
+    AnswerResult result;
+    StatusOr<std::shared_ptr<const CachedRewriting>> rewriting =
+        RewriteInternal(query, scope, trace, &result.cache_hit, snap, target,
+                        shed_optional_work);
+    if (!rewriting.ok()) {
+      // Graceful degradation: a rewrite that ran out of budget (deadline or
+      // divergence cap) on a chase-terminating program can still be
+      // answered exactly, by materialization.
+      if (options_.chase_fallback && IsBudgetFailure(rewriting.status()) &&
+          ChaseTerminates()) {
+        TraceSpan chase_span(trace, "chase");
+        chase_span.Attr("fallback", "chase");
+        ChaseOptions chase_options = options_.fallback_chase;
+        chase_options.cancel = scope;
+        chase_options.trace = chase_span.context();
+        StatusOr<std::vector<Tuple>> answers =
+            CertainAnswersViaChase(query, *snap.program, *snap.db,
+                                   chase_options);
+        if (!answers.ok()) {
+          chase_span.AnnotateStatus(answers.status());
+          return answers.status();
+        }
+        result.answers = std::move(answers).value();
+        result.served_via_chase = true;
+        metrics_.Increment("fallback_chase_served");
+        return result;
       }
-      result.answers = std::move(answers).value();
-      result.served_via_chase = true;
-      metrics_.Increment("fallback_chase_served");
-      return result;
+      return rewriting.status();
     }
-    return rewriting.status();
-  }
-  const std::shared_ptr<const CachedRewriting> cached = *std::move(rewriting);
-  result.rewriting = UcqOf(cached);
-  result.datalog = DatalogOf(cached);
+    const std::shared_ptr<const CachedRewriting> cached = *std::move(rewriting);
+    result.rewriting = UcqOf(cached);
+    result.datalog = DatalogOf(cached);
 
-  // The per-request scope tightens the engine-wide eval options.
-  const CancelScope eval_scope(
-      Deadline::Earlier(options_.eval.cancel.deadline(), scope.deadline()),
-      scope.token() != nullptr ? scope.token()
-                               : options_.eval.cancel.token());
-  TraceSpan eval_span(trace, "eval");
-  if (options_.backend != nullptr) {
-    // Delegated execution: the rewriting runs on the configured backend
-    // (the paper's "plain SQL over the original database" stage).
+    // The per-request scope tightens the engine-wide eval options.
+    const CancelScope eval_scope(
+        Deadline::Earlier(options_.eval.cancel.deadline(), scope.deadline()),
+        scope.token() != nullptr ? scope.token()
+                                 : options_.eval.cancel.token());
     Status load_status;
+    bool fresh = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
+      fresh = !backend_loading_ && data_generation_ == snap.data_generation;
       load_status = backend_load_status_;
     }
+    if (!fresh) {
+      // Wait out the data swap's backend load, then serve the new data.
+      std::lock_guard<std::mutex> wait(update_mutex_);
+      continue;
+    }
+    TraceSpan eval_span(trace, "eval");
     if (!load_status.ok()) {
       eval_span.AnnotateStatus(load_status);
       return load_status;
@@ -478,55 +478,32 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
     exec.cancel = eval_scope;
     exec.num_threads = options_.num_threads;
     exec.trace = eval_span.context();
-    const std::string prefix = StrCat("backend_", options_.backend->name());
-    ScopedTimer timer(&metrics_, StrCat(prefix, "_exec_ns"));
-    // Under kCte the factored program goes to the backend natively (a SQL
-    // backend runs it as one WITH-CTE statement; others unfold); under
-    // kUcq the flat union runs as before.
+    ScopedTimer timer(&metrics_, exec_ns_metric_);
+    // Under kCte the factored program goes to the backend as is (SQLite
+    // runs it as WITH-CTE SQL; the in-memory backend unfolds it); under
+    // kUcq the flat union runs.
     StatusOr<std::vector<Tuple>> answers =
         result.datalog != nullptr
             ? options_.backend->ExecuteDatalog(*result.datalog, exec,
                                                &result.eval)
             : options_.backend->Execute(*result.rewriting, exec, &result.eval);
+    {
+      // A data swap since the check above may have reloaded the backend
+      // while it evaluated.
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (data_generation_ != snap.data_generation) continue;
+    }
     if (!answers.ok()) {
       eval_span.AnnotateStatus(answers.status());
       return answers.status();
     }
     result.answers = std::move(answers).value();
-    metrics_.Increment(StrCat(prefix, "_exec"));
-  } else {
-    eval_span.Attr("backend", "builtin");
-    std::shared_ptr<const UnionOfCqs> flat = result.rewriting;
-    if (flat == nullptr) {
-      // A kCte entry caches only the factored program; the builtin
-      // evaluator wants a flat union, so unfold on demand (bounded by the
-      // unfolder's disjunct cap). Not cached — the cache must not retain
-      // the artifact the DAG path exists to avoid materializing.
-      StatusOr<UnionOfCqs> unfolded = UnfoldDatalog(*result.datalog);
-      if (!unfolded.ok()) {
-        eval_span.AnnotateStatus(unfolded.status());
-        return unfolded.status();
-      }
-      flat = std::make_shared<const UnionOfCqs>(std::move(unfolded).value());
-    }
-    ParallelEvalOptions eval_options;
-    eval_options.num_threads = options_.num_threads;
-    eval_options.eval = options_.eval;
-    eval_options.eval.cancel = eval_scope;
-    eval_options.trace = eval_span.context();
-    ScopedTimer timer(&metrics_, "eval_ns");
-    StatusOr<std::vector<Tuple>> answers =
-        ParallelEvaluate(*flat, *snap.db, eval_options, &result.eval);
-    if (!answers.ok()) {
-      eval_span.AnnotateStatus(answers.status());
-      return answers.status();
-    }
-    result.answers = std::move(answers).value();
+    metrics_.Increment(exec_metric_);
+    eval_span.Attr("rows", static_cast<std::int64_t>(result.answers.size()));
+    metrics_.Increment("eval_tuples_examined", result.eval.tuples_examined);
+    metrics_.Increment("eval_matches", result.eval.matches);
+    return result;
   }
-  eval_span.Attr("rows", static_cast<std::int64_t>(result.answers.size()));
-  metrics_.Increment("eval_tuples_examined", result.eval.tuples_examined);
-  metrics_.Increment("eval_matches", result.eval.matches);
-  return result;
 }
 
 StatusOr<ExplainResult> AnswerEngine::Explain(const UnionOfCqs& query,

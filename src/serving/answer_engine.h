@@ -24,7 +24,6 @@
 #include "logic/vocabulary.h"
 #include "rewriting/datalog.h"
 #include "rewriting/rewriter.h"
-#include "serving/parallel_eval.h"
 #include "serving/rewrite_cache.h"
 
 // The serving layer: an AnswerEngine owns an ontology (TGD program) and a
@@ -32,9 +31,10 @@
 // FO-rewritability result makes the rewriting *data-independent*: it can
 // be computed once per (program, query-isomorphism-class) and reused for
 // every subsequent evaluation. The engine therefore keeps an LRU cache of
-// rewritings keyed by (program fingerprint, canonical query key), fans
-// the cached UCQ's disjuncts across worker threads for evaluation, and
-// records per-stage counters/timers in a MetricsRegistry.
+// rewritings keyed by (program fingerprint, canonical query key), hands
+// the cached rewriting to its Backend for evaluation (an InMemoryBackend
+// sharing the engine's data unless another is configured), and records
+// per-stage counters/timers in a MetricsRegistry.
 //
 // Overload safety (see DESIGN.md "Serving layer"): Serve takes a
 // per-request ServeOptions with an absolute deadline and an optional
@@ -64,9 +64,11 @@
 //             requests_shed, admission_queue_deadline,
 //             fallback_chase_served, rewrite_degraded, rewrite_factored,
 //             rewrite_dag, rewrite_dag_fallback,
-//             requests_by_status_<CodeName> (one per final Serve status)
+//             requests_by_status_<CodeName> (one per final Serve status),
+//             backend_<name>_exec, backend_<name>_load
 //   gauges    inflight, rewrite_threads
-//   timers    rewrite_ns, factor_ns, eval_ns
+//   timers    rewrite_ns, factor_ns, backend_<name>_{exec,load}_ns
+// where <name> is the backend's name() ("inmemory" by default).
 
 namespace ontorew {
 
@@ -80,7 +82,7 @@ struct AnswerEngineOptions {
   // (see RewriteCache). Null: the engine creates a private cache of
   // cache_capacity entries.
   std::shared_ptr<RewriteCache> shared_cache;
-  // Worker threads for UCQ evaluation (see ParallelEvalOptions).
+  // Worker threads for the in-memory backend's evaluation.
   int num_threads = 0;
   RewriterOptions rewriter;
   // Default rewrite target (per-request override: ServeOptions::target).
@@ -100,16 +102,13 @@ struct AnswerEngineOptions {
   EvalOptions eval{.drop_tuples_with_nulls = true, .cancel = {}};
 
   // --- Execution backend ---------------------------------------------------
-  // Where the rewritten UCQ runs. Null (the default) keeps the built-in
-  // path: ParallelEvaluate directly over the engine's own Database, no
-  // copy. A non-null backend (e.g. a SqliteBackend sharing the caller's
-  // Vocabulary) is Load()ed with the engine's program and data at
-  // construction and on every ReplaceDatabase/AddTgd, and every Serve
-  // evaluates through it — the paper's "delegate to a plain SQL engine"
-  // architecture. Per-backend metrics: counters backend_<name>_exec /
-  // backend_<name>_load, timers backend_<name>_exec_ns /
-  // backend_<name>_load_ns. A failed Load surfaces from the next Serve
-  // as that error (the engine stays usable after a successful reload).
+  // Where the rewriting runs; every Serve evaluates through it — the
+  // paper's "delegate to a plain SQL engine" architecture. Null (the
+  // default) makes the engine create an InMemoryBackend, stored here,
+  // which shares the engine's Database snapshot instead of copying it.
+  // The backend is Load()ed with the engine's program and data at
+  // construction and on every ReplaceDatabase/AddTgd; a failed Load
+  // surfaces from the next Serve as that error.
   std::shared_ptr<Backend> backend;
 
   // --- Admission control ---------------------------------------------------
@@ -143,7 +142,7 @@ struct ServeOptions {
   // Serve records a "serve" root span with children for every executed
   // stage — admit, canonicalize, rewrite-cache (cache=hit|miss), rewrite
   // (with per-iteration saturate/minimize spans), chase (fallback=chase),
-  // eval (backend=..., per-disjunct or SQL plan spans) — well-formed (no
+  // eval (backend=name(), per-disjunct or SQL plan spans) — well-formed (no
   // open spans) on every exit path, including errors. Null (the default)
   // costs one pointer test per hook.
   Trace* trace = nullptr;
@@ -168,7 +167,7 @@ struct AnswerResult {
   // The flat rewriting that was evaluated (shared with the cache; remains
   // valid after eviction). Null under RewriteTarget::kCte, whose cache
   // entries never hold the flat union — the request ran `datalog` instead
-  // (the builtin evaluator unfolds it on demand, without caching the
+  // (the in-memory backend unfolds it on demand, without caching the
   // unfolding).
   std::shared_ptr<const UnionOfCqs> rewriting;
   // Under RewriteTarget::kCte: the factored Datalog program the request
@@ -232,20 +231,12 @@ class AnswerEngine {
   std::string CacheKey(const UnionOfCqs& query,
                        RewriteTarget target = RewriteTarget::kUcq) const;
 
-  // The (cached) rewriting of `query`. Errors propagate from RewriteUcq
-  // (FailedPrecondition for multi-head programs, ResourceExhausted when
-  // the saturation cap is hit, DeadlineExceeded/Cancelled when `cancel`
-  // trips); errors are not cached. `trace` (optional) receives
-  // canonicalize / rewrite-cache / rewrite spans.
-  StatusOr<std::shared_ptr<const UnionOfCqs>> Rewrite(
-      const UnionOfCqs& query, const CancelScope& cancel = {},
-      const TraceContext& trace = {});
-
   // End-to-end: admit, rewrite (or fetch from cache, or fall back to the
-  // chase), evaluate in parallel, return the sorted certain answers with
-  // provenance. Errors: ResourceExhausted when shed by admission control,
-  // DeadlineExceeded/Cancelled when the request's scope trips at any
-  // stage, plus everything Rewrite can return. An error never carries
+  // chase), evaluate on the backend, return the sorted certain answers
+  // with provenance. Errors: ResourceExhausted when shed by admission
+  // control or at the saturation cap, DeadlineExceeded/Cancelled when the
+  // request's scope trips at any stage, FailedPrecondition for multi-head
+  // programs, and backend errors. Errors are never cached and never carry
   // partial answers.
   StatusOr<AnswerResult> Serve(const UnionOfCqs& query,
                                const ServeOptions& serve = {});
@@ -256,8 +247,8 @@ class AnswerEngine {
   // predicates/constants in the emitted SQL (the engine stores ids only).
   // The returned trace always covers the executed stages; honours
   // serve.deadline/serve.cancel but ignores serve.trace (see
-  // ExplainResult::trace). Errors: everything Rewrite can return, plus
-  // InvalidArgument from SQL emission.
+  // ExplainResult::trace). Errors: the rewriting errors Serve reports,
+  // plus InvalidArgument from SQL emission.
   StatusOr<ExplainResult> Explain(const UnionOfCqs& query,
                                   const Vocabulary& vocab,
                                   const ServeOptions& serve = {});
@@ -287,11 +278,13 @@ class AnswerEngine {
   // fingerprint always matches `program` (they are captured together
   // under mutex_), so a rewriting computed from this snapshot is cached
   // under the key of the program that produced it — never under a newer
-  // program's key.
+  // program's key. `data_generation` counts the ReplaceDatabase swaps
+  // before this snapshot.
   struct Snapshot {
     std::shared_ptr<const TgdProgram> program;
     std::shared_ptr<const Database> db;
     std::uint64_t fingerprint = 0;
+    std::uint64_t data_generation = 0;
   };
   Snapshot CurrentSnapshot() const;
 
@@ -301,9 +294,11 @@ class AnswerEngine {
   Status Admit(const CancelScope& scope);
   void Release();
 
-  // (Re)loads options_.backend with the current program and data,
-  // recording load metrics; remembers the status for Serve. Callers must
-  // hold update_mutex_ (the constructor is exempt: no concurrency yet).
+  // (Re)loads options_.backend with the current program and data (the
+  // snapshot's Database is passed shared, not copied), recording load
+  // metrics; remembers the status for Serve and clears backend_loading_.
+  // Callers must hold update_mutex_ (the constructor is exempt: no
+  // concurrency yet).
   void ReloadBackend();
 
   // Rewrite against a pinned snapshot, reporting whether the cache served
@@ -330,12 +325,20 @@ class AnswerEngine {
   std::shared_ptr<const Database> db_;
   AnswerEngineOptions options_;
   std::uint64_t fingerprint_;
-  // Outcome of the last backend Load (OK when no backend is configured).
-  // Guarded by mutex_.
+  // ReplaceDatabase swaps so far. Guarded by mutex_.
+  std::uint64_t data_generation_ = 0;
+  // Outcome of the last backend Load. Guarded by mutex_.
   Status backend_load_status_;
+  // Set by each data swap and cleared when the backend has loaded it
+  // (both under update_mutex_), so outside a load the backend holds db_.
+  // Guarded by mutex_.
+  bool backend_loading_ = true;
+  // backend_<name>_{exec,load}[_ns], named once at construction.
+  std::string exec_metric_, exec_ns_metric_, load_metric_, load_ns_metric_;
 
   // Serializes mutators (AddTgd, ReplaceDatabase): two racing AddTgds
-  // must not each extend the *original* program and lose one TGD.
+  // must not each extend the *original* program and lose one TGD. A
+  // request that finds a data swap's backend load running waits on it.
   std::mutex update_mutex_;
 
   // The rewrite cache: options_.shared_cache when set (cross-tenant
@@ -343,7 +346,7 @@ class AnswerEngine {
   // thread-safe; mutex_ does not guard it.
   std::shared_ptr<RewriteCache> cache_;
 
-  // Guards wa_cache_, backend_load_status_, and the snapshot swap.
+  // Guards wa_cache_, the backend load state, and the snapshot swap.
   mutable std::mutex mutex_;
   // Weak-acyclicity verdict for the fingerprint it was computed under.
   mutable std::optional<std::pair<std::uint64_t, bool>> wa_cache_;

@@ -8,8 +8,11 @@
 #include "base/deadline.h"
 #include "base/fault_point.h"
 #include "base/rng.h"
+#include "base/strings.h"
+#include "base/trace.h"
 #include "db/eval.h"
 #include "gtest/gtest.h"
+#include "rewriting/dag_rewriter.h"
 #include "rewriting/datalog.h"
 #include "rewriting/rewriter.h"
 #include "rewriting/sql.h"
@@ -341,13 +344,11 @@ TEST(BackendTest, OversizedUnionChunksAcrossCompoundLimit) {
   EXPECT_EQ(*answers, reference);
 }
 
-TEST(BackendTest, WideDatalogProgramFallsBackWithoutDeadlock) {
+TEST(BackendTest, WideDatalogProgramSplitsAcrossCompoundLimit) {
   // A factored program whose output union is wider than
-  // SQLITE_LIMIT_COMPOUND_SELECT cannot be emitted as one WITH-CTE
-  // statement; ExecuteDatalog must fall back to the unfolded chunked
-  // Execute path *after* releasing the connection mutex — a regression
-  // here self-deadlocks (the fallback re-enters Execute, which locks the
-  // same non-recursive mutex) instead of failing an assertion.
+  // SQLITE_LIMIT_COMPOUND_SELECT cannot be emitted as one statement;
+  // ExecuteDatalog splits the output union into statements, as Execute
+  // does for a UCQ (it is the same path), and merges their answers.
   Vocabulary vocab;
   Database db;
   UnionOfCqs ucq = MakeUnsharedUnion(5, &db, &vocab);
@@ -362,9 +363,66 @@ TEST(BackendTest, WideDatalogProgramFallsBackWithoutDeadlock) {
   SqliteBackend sqlite(&vocab);
   ASSERT_TRUE(sqlite.Load(TgdProgram(), db).ok());
   ASSERT_TRUE(sqlite.SetCompoundSelectLimitForTest(2).ok());
-  StatusOr<std::vector<Tuple>> answers = sqlite.ExecuteDatalog(*factored, {});
+  Trace trace;
+  BackendExecOptions exec;
+  exec.trace = TraceContext(&trace);
+  StatusOr<std::vector<Tuple>> answers =
+      sqlite.ExecuteDatalog(*factored, exec);
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_EQ(*answers, reference);
+  bool split = false;
+  for (const SpanRecord& span : trace.Snapshot()) {
+    if (span.name != "emit") continue;
+    for (const auto& [key, value] : span.attributes) {
+      if (key == "chunks") split = value == "3";
+    }
+  }
+  EXPECT_TRUE(split) << "5 output rules at limit 2 are 3 statements";
+}
+
+TEST(BackendTest, WideAuxBodyNestsUnderCompoundLimit) {
+  // ProductQuery(7) over ProductFamily(8) implies 9^7 disjuncts, past the
+  // unfolder's cap (1 << 20), so only native execution can answer it. Its
+  // one aux predicate has 9 rules: under a compound limit of 4 the CTE
+  // body nests as compound sub-selects, and the answers must equal
+  // SQLite's at the default limit.
+  Vocabulary vocab;
+  TgdProgram program = ProductFamily(8, &vocab);
+  StatusOr<DagRewriteResult> dag =
+      RewriteToDatalog(UnionOfCqs(ProductQuery(7, &vocab)), program);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  ASSERT_EQ(dag->program.aux.size(), 1u);
+  ASSERT_EQ(dag->program.aux[0].rules.size(), 9u);
+  EXPECT_GT(dag->implied_disjuncts, std::int64_t{1} << 20);
+
+  // A path c0 -> c1 -> ... -> c11 whose members (all but c3) are spread
+  // over p and s0..s7: X0 answers where seven consecutive members avoid
+  // c3, i.e. c4 and c5.
+  Database db;
+  auto c = [&vocab](int i) {
+    return Value::Constant(vocab.InternConstant(StrCat("c", i)));
+  };
+  for (int i = 0; i < 12; ++i) {
+    if (i + 1 < 12) db.Insert(vocab.FindPredicate("r"), {c(i), c(i + 1)});
+    if (i == 3) continue;
+    const std::string hub = i % 9 == 8 ? "p" : StrCat("s", i % 9);
+    db.Insert(vocab.FindPredicate(hub), {c(i)});
+  }
+
+  SqliteBackend wide(&vocab);
+  ASSERT_TRUE(wide.Load(program, db).ok());
+  StatusOr<std::vector<Tuple>> expected =
+      wide.ExecuteDatalog(dag->program, {});
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(*expected, (std::vector<Tuple>{{c(4)}, {c(5)}}));
+
+  SqliteBackend narrow(&vocab);
+  ASSERT_TRUE(narrow.Load(program, db).ok());
+  ASSERT_TRUE(narrow.SetCompoundSelectLimitForTest(4).ok());
+  StatusOr<std::vector<Tuple>> answers =
+      narrow.ExecuteDatalog(dag->program, {});
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(*answers, *expected);
 }
 
 TEST(BackendTest, DeadlineMapsToProgressHandler) {

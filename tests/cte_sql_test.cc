@@ -8,10 +8,12 @@
 #include "db/database.h"
 #include "gtest/gtest.h"
 #include "rewriting/cte_sql.h"
+#include "rewriting/dag_rewriter.h"
 #include "rewriting/datalog.h"
 #include "rewriting/rewriter.h"
 #include "rewriting/sql.h"
 #include "test_util.h"
+#include "workload/generators.h"
 #include "workload/university.h"
 
 // Edge cases of the WITH-CTE emitter, mirroring tests/sql_test.cc for the
@@ -93,6 +95,41 @@ TEST(CteSqlTest, UnfactoredProgramDegeneratesToPlainUnion) {
   ASSERT_TRUE(cte_sql.ok());
   ASSERT_TRUE(union_sql.ok());
   EXPECT_EQ(*cte_sql, *union_sql);
+}
+
+// Under a compound-select cap the emitter keeps every compound SELECT
+// within it: the 5-rule aux body nests into sub-selects of at most 2
+// arms, and at or above the body's width the SQL is DatalogToCteSql's.
+TEST(CteSqlTest, CompoundCapNestsWideAuxBody) {
+  Vocabulary vocab;
+  TgdProgram program = ProductFamily(4, &vocab);
+  StatusOr<DagRewriteResult> dag =
+      RewriteToDatalog(UnionOfCqs(ProductQuery(3, &vocab)), program);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  const DatalogProgram* factored = &dag->program;
+  ASSERT_EQ(factored->cte_count(), 1);
+  ASSERT_EQ(factored->aux[0].rules.size(), 5u);
+  ASSERT_EQ(factored->output.size(), 1u);
+  StatusOr<std::string> whole = DatalogToCteSql(*factored, vocab);
+  ASSERT_TRUE(whole.ok()) << whole.status();
+
+  StatusOr<std::vector<std::string>> at_width =
+      DatalogToCteSqlStatements(*factored, vocab, 5);
+  ASSERT_TRUE(at_width.ok()) << at_width.status();
+  EXPECT_EQ(*at_width, std::vector<std::string>{*whole});
+
+  StatusOr<std::vector<std::string>> capped =
+      DatalogToCteSqlStatements(*factored, vocab, 2);
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  ASSERT_EQ(capped->size(), 1u);
+  // 5 arms -> 3 groups of <= 2 -> 2 groups of <= 2 sub-selects.
+  const std::string& sql = capped->front();
+  std::size_t nested = 0;
+  for (std::size_t at = sql.find("SELECT * FROM ("); at != std::string::npos;
+       at = sql.find("SELECT * FROM (", at + 1)) {
+    ++nested;
+  }
+  EXPECT_EQ(nested, 5u) << sql;
 }
 
 // Boolean (0-ary) queries through the CTE path, including a 0-ary aux

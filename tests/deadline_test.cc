@@ -4,6 +4,8 @@
 // rely on.
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -38,6 +40,18 @@ TEST(DeadlineTest, FutureDeadlineHasRemainingBudget) {
   Deadline future = Deadline::AfterMillis(60'000);
   EXPECT_FALSE(future.expired());
   EXPECT_GT(future.remaining(), milliseconds(59'000));
+}
+
+TEST(DeadlineTest, HugeBudgetSaturatesToInfinite) {
+  // 10^13 ms is past steady_clock's nanosecond range: the deadline must
+  // not wrap into the past and expire at once.
+  Deadline huge = Deadline::AfterMillis(10'000'000'000'000);
+  EXPECT_FALSE(huge.expired());
+  EXPECT_TRUE(huge.is_infinite());
+  EXPECT_FALSE(Deadline::After(Deadline::Clock::duration::max()).expired());
+  EXPECT_FALSE(
+      Deadline::AfterMillis(std::numeric_limits<std::int64_t>::max())
+          .expired());
 }
 
 TEST(DeadlineTest, EarlierPicksTheTighterDeadline) {

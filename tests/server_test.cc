@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -135,6 +136,23 @@ TEST(WireTest, MalformedRequestsAreInvalidArgument) {
     EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << bad;
     EXPECT_FALSE(IsRetryableStatusCode(request.status().code()));
   }
+}
+
+TEST(WireTest, DeadlineBeyondInt64IsInvalidArgument) {
+  // 20 digits: past INT64_MAX, rejected before the multiply overflows.
+  StatusOr<WireRequest> request = ParseWireRequest(
+      "QUERY tenant=uni deadline_ms=18446744073709551616 q(X) :- r(X).");
+  ASSERT_FALSE(request.ok());
+  EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(
+      ParseWireRequest(
+          "QUERY tenant=uni deadline_ms=9223372036854775808 q(X) :- r(X).")
+          .ok());
+  // INT64_MAX itself still parses.
+  StatusOr<WireRequest> largest = ParseWireRequest(
+      "QUERY tenant=uni deadline_ms=9223372036854775807 q(X) :- r(X).");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->deadline_ms, std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(WireTest, ErrHeaderRoundTripsRetryableBit) {
@@ -606,6 +624,9 @@ TEST_F(ServerTest, StatsAndTenantsVerbs) {
   ASSERT_TRUE(tenants.status.ok());
   ASSERT_EQ(tenants.info.size(), 1u);
   EXPECT_NE(tenants.info[0].find("uni"), std::string::npos);
+  // The engine's backend by name(): the default in-memory one here.
+  EXPECT_NE(tenants.info[0].find("backend=inmemory"), std::string::npos)
+      << tenants.info[0];
 }
 
 TEST_F(ServerTest, AddTenantValidation) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "backend/backend.h"
+#include "backend/parallel_eval.h"
 #include "backend/sqlite_backend.h"
 #include "base/deadline.h"
 #include "base/fault_point.h"
@@ -20,7 +22,6 @@
 #include "db/eval.h"
 #include "gtest/gtest.h"
 #include "serving/answer_engine.h"
-#include "serving/parallel_eval.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/paper_examples.h"
@@ -345,9 +346,11 @@ TEST(AnswerEngineTest, MetricsSnapshotCountsHitsAndMisses) {
   EXPECT_EQ(snapshot.Counter("rewrite_cache_miss"), 2);
   EXPECT_GT(snapshot.Counter("eval_tuples_examined"), 0);
   EXPECT_GT(snapshot.Counter("eval_matches"), 0);
-  // Only misses pay rewriting time; every serve pays evaluation time.
+  // Only misses pay rewriting time; every serve pays evaluation time, on
+  // the default in-memory backend.
   EXPECT_GT(snapshot.TimerNs("rewrite_ns"), 0);
-  EXPECT_GT(snapshot.TimerNs("eval_ns"), 0);
+  EXPECT_EQ(snapshot.Counter("backend_inmemory_exec"), 3);
+  EXPECT_GT(snapshot.TimerNs("backend_inmemory_exec_ns"), 0);
 
   engine.metrics().Reset();
   EXPECT_EQ(engine.metrics().Snapshot().Counter("queries_served"), 0);
@@ -661,9 +664,9 @@ TEST(AnswerEngineTest, SqliteBackendServesIdenticalAnswers) {
   EXPECT_EQ(snapshot.Counter("backend_sqlite_load"), 1);
   EXPECT_GT(snapshot.TimerNs("backend_sqlite_exec_ns"), 0);
   EXPECT_GT(snapshot.TimerNs("backend_sqlite_load_ns"), 0);
-  // The built-in path's eval timer stays untouched on the delegated
-  // engine.
-  EXPECT_EQ(snapshot.TimerNs("eval_ns"), 0);
+  // A configured backend replaces the default one: nothing ran in memory.
+  EXPECT_EQ(snapshot.Counter("backend_inmemory_exec"), 0);
+  EXPECT_EQ(snapshot.TimerNs("backend_inmemory_exec_ns"), 0);
 }
 
 TEST(AnswerEngineTest, ReplaceDatabaseReloadsBackend) {
@@ -730,8 +733,9 @@ TEST(AnswerEngineTest, BackendHonoursServeDeadline) {
 }
 
 TEST(AnswerEngineTest, InMemoryBackendMatchesBuiltInPath) {
-  // The pluggable InMemoryBackend is a drop-in for the engine's default
-  // path — same answers, backend-prefixed metrics instead of eval_ns.
+  // An engine built without a backend creates an InMemoryBackend, so an
+  // explicitly configured one is the same path: same answers, same
+  // backend-prefixed metrics.
   Vocabulary vocab;
   TgdProgram ontology = UniversityOntology(&vocab);
   Rng rng(5);
@@ -752,6 +756,9 @@ TEST(AnswerEngineTest, InMemoryBackendMatchesBuiltInPath) {
   EXPECT_EQ(*a, *b);
   EXPECT_EQ(plugged.metrics().Snapshot().Counter("backend_inmemory_exec"),
             1);
+  EXPECT_EQ(builtin.metrics().Snapshot().Counter("backend_inmemory_exec"),
+            1);
+  EXPECT_EQ(builtin.options().backend->name(), "inmemory");
 }
 
 // --- The CTE rewrite target --------------------------------------------------
@@ -966,9 +973,10 @@ TEST(AnswerEngineTraceTest, ColdServeRecordsCompleteSpanTree) {
   const SpanRecord* minimize = FindSpan(spans, "minimize");
   ASSERT_NE(minimize, nullptr);
   EXPECT_TRUE(SpanHasAttrKey(*minimize, "disjuncts_in"));
-  // Evaluation ran on the built-in evaluator: per-disjunct scan spans.
+  // Evaluation ran on the default in-memory backend: per-disjunct scan
+  // spans.
   const SpanRecord* eval = FindSpan(spans, "eval");
-  EXPECT_TRUE(SpanHasAttr(*eval, "backend", "builtin"));
+  EXPECT_TRUE(SpanHasAttr(*eval, "backend", "inmemory"));
   EXPECT_TRUE(SpanHasAttrKey(*eval, "rows"));
   const SpanRecord* disjunct = FindSpan(spans, "disjunct");
   ASSERT_NE(disjunct, nullptr);
@@ -1337,7 +1345,7 @@ TEST(AnswerEngineExplainTest, ReturnsRewritingAndSqlWithoutExecuting) {
   MetricsSnapshot snapshot = engine.metrics().Snapshot();
   EXPECT_EQ(snapshot.Counter("queries_served"), 0);
   EXPECT_EQ(snapshot.Counter("backend_sqlite_exec"), 0);
-  EXPECT_EQ(snapshot.TimerNs("eval_ns"), 0);
+  EXPECT_EQ(snapshot.TimerNs("backend_sqlite_exec_ns"), 0);
 
   // Explain owns its trace: explain-rooted, rewrite recorded, no eval.
   ASSERT_NE(explained->trace, nullptr);
@@ -1496,6 +1504,137 @@ TEST(AnswerEngineTest, ConcurrentServesSurviveCacheInvalidation) {
   StatusOr<AnswerResult> final_serve = engine.Serve(query);
   ASSERT_TRUE(final_serve.ok());
   EXPECT_EQ(final_serve->answers, expected);
+}
+
+// Readers serve while a writer swaps data and extends the program, and
+// each AddTgd changes the answers. Every answer must be the certain
+// answers of one (program, data) state the engine actually held: never a
+// rewriting of one program evaluated over data that arrived after a later
+// program, and never a torn read. Runs on the default engine and on one
+// configured with an explicit InMemoryBackend: under TSan, a backend that
+// copied the data at Load while Execute read it raced here.
+TEST(AnswerEngineTest, ConcurrentRefreshServesOneInstance) {
+  Vocabulary vocab;
+  TgdProgram ontology = MustProgram("r(X, Y) -> s(X).", &vocab);
+  const PredicateId r = vocab.FindPredicate("r");
+  // TGD j makes t<j>(X) imply s(X); every instance holds one t<j> fact
+  // per j, so each (TGDs added, instance) state has its own answers.
+  constexpr int kTgds = 8;
+  std::vector<Tgd> tgds;
+  for (int j = 0; j < kTgds; ++j) {
+    tgds.push_back(MustTgd(StrCat("t", j, "(X) -> s(X)."), &vocab));
+  }
+  constexpr int kInstances = 4;
+  std::vector<Database> instances(kInstances);
+  for (int k = 0; k < kInstances; ++k) {
+    auto c = [&](const std::string& name) {
+      return Value::Constant(vocab.InternConstant(name));
+    };
+    for (int i = 0; i <= k * 3; ++i) {
+      instances[k].Insert(r, {c(StrCat("a", k, "_", i)), c(StrCat("b", i))});
+    }
+    for (int j = 0; j < kTgds; ++j) {
+      instances[k].Insert(vocab.FindPredicate(StrCat("t", j)),
+                          {c(StrCat("d", k, "_", j))});
+    }
+  }
+  UnionOfCqs query(MustQuery("q(X) :- s(X).", &vocab));
+  auto oracle = [&](int tgds_added, int instance) {
+    TgdProgram program = ontology;
+    for (int j = 0; j < tgds_added; ++j) program.Add(tgds[j]);
+    StatusOr<std::vector<Tuple>> answers =
+        CertainAnswersViaChase(query, program, instances[instance], {});
+    EXPECT_TRUE(answers.ok()) << answers.status();
+    return answers.ok() ? *std::move(answers) : std::vector<Tuple>{};
+  };
+
+  for (const bool explicit_backend : {false, true}) {
+    AnswerEngineOptions options;
+    if (explicit_backend) options.backend = std::make_shared<InMemoryBackend>();
+    AnswerEngine engine(ontology, instances[0], options);
+
+    constexpr int kReaders = 4;
+    constexpr int kServesPerReader = 100;
+    std::atomic<int> failures{0};
+    std::vector<std::vector<std::vector<Tuple>>> served(kReaders);
+    std::vector<std::thread> readers;
+    readers.reserve(kReaders);
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&, t] {
+        for (int i = 0; i < kServesPerReader; ++i) {
+          StatusOr<AnswerResult> result = engine.Serve(query);
+          if (!result.ok()) {
+            ++failures;
+          } else {
+            served[t].push_back(std::move(result->answers));
+          }
+        }
+      });
+    }
+    // The states the engine held, in order: (TGDs added, instance).
+    std::vector<std::pair<int, int>> states = {{0, 0}};
+    int added = 0;
+    for (int i = 0; i < 60; ++i) {
+      // An AddTgd right before a data swap: a request pinned before both
+      // must not evaluate the old program's rewriting on the new data.
+      if (i % 8 == 0 && added < kTgds) {
+        engine.AddTgd(tgds[added++]);
+        states.emplace_back(added, states.back().second);
+      }
+      const int next = (i + 1) % kInstances;
+      engine.ReplaceDatabase(instances[next]);
+      states.emplace_back(added, next);
+    }
+    for (std::thread& reader : readers) reader.join();
+
+    std::vector<std::vector<Tuple>> valid;
+    for (const auto& [tgds_added, instance] : states) {
+      valid.push_back(oracle(tgds_added, instance));
+    }
+    int wrong_answers = 0;
+    for (const auto& answers_by_reader : served) {
+      for (const std::vector<Tuple>& answers : answers_by_reader) {
+        if (std::find(valid.begin(), valid.end(), answers) == valid.end()) {
+          ++wrong_answers;
+        }
+      }
+    }
+    EXPECT_EQ(failures.load(), 0) << "explicit_backend=" << explicit_backend;
+    EXPECT_EQ(wrong_answers, 0) << "explicit_backend=" << explicit_backend;
+    // Settled on the last state written.
+    StatusOr<AnswerResult> settled = engine.Serve(query);
+    ASSERT_TRUE(settled.ok()) << settled.status();
+    EXPECT_EQ(settled->answers, valid.back());
+  }
+}
+
+// The default backend shares the engine's snapshot: a refresh hands the
+// new Database to the backend by pointer, copying no data.
+TEST(AnswerEngineTest, DefaultBackendSharesSnapshot) {
+  Vocabulary vocab;
+  TgdProgram ontology = MustProgram("r(X, Y) -> s(X).", &vocab);
+  const PredicateId r = vocab.FindPredicate("r");
+  auto c = [&](const char* name) {
+    return Value::Constant(vocab.InternConstant(name));
+  };
+  Database first;
+  first.Insert(r, {c("a"), c("b")});
+  AnswerEngine engine(ontology, first);
+  auto* backend =
+      dynamic_cast<InMemoryBackend*>(engine.options().backend.get());
+  ASSERT_NE(backend, nullptr);
+  EXPECT_EQ(backend->db().get(), &engine.db());
+
+  Database second;
+  second.Insert(r, {c("x"), c("y")});
+  engine.ReplaceDatabase(std::move(second));
+  EXPECT_EQ(backend->db().get(), &engine.db());
+  engine.AddTgd(MustTgd("r(X, Y) -> s(Y).", &vocab));
+  EXPECT_EQ(backend->db().get(), &engine.db());
+  StatusOr<std::vector<Tuple>> answers =
+      engine.CertainAnswers(MustQuery("q(X) :- s(X).", &vocab));
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(*answers, (std::vector<Tuple>{{c("x")}, {c("y")}}));
 }
 
 TEST(AnswerEngineTest, QueuedRequestDeadlineExpiryIsDeadlineExceeded) {
