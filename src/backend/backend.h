@@ -49,7 +49,8 @@ struct BackendExecOptions {
   // single-connection backends ignore it.
   int num_threads = 0;
   // Request-scoped tracing (see base/trace.h). Inert by default. The
-  // in-memory backend forwards it to the parallel evaluator (per-disjunct
+  // in-memory backend records one "aux" span per materialized aux
+  // predicate and forwards it to the parallel evaluator (per-disjunct
   // "disjunct" spans); SQLite records "emit" (UCQ -> SQL) and "scan"
   // spans, attaching the EXPLAIN QUERY PLAN rows to the scan span.
   TraceContext trace;
@@ -93,7 +94,10 @@ class Backend {
 // The reference backend, and the AnswerEngine's default: the loaded
 // Database is shared, not copied, and evaluated with the index-nested-loop
 // evaluator, disjuncts fanned across the parallel_eval worker pool. A
-// program is unfolded to its flat union first (rewriting/datalog.h).
+// program is evaluated bottom-up, never unfolded: each aux predicate is
+// materialized once per request into a request-local relation ("aux"
+// span: rows, rules), and the output rules then run like a UCQ's
+// disjuncts over the base data overlaid with those relations.
 class InMemoryBackend : public Backend {
  public:
   InMemoryBackend() = default;

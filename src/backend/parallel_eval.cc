@@ -29,7 +29,7 @@ int EffectiveThreads(int requested, std::size_t num_tasks) {
 }
 
 StatusOr<std::vector<Tuple>> ParallelEvaluate(const UnionOfCqs& ucq,
-                                              const Database& db,
+                                              const DatabaseView& db,
                                               const ParallelEvalOptions& options,
                                               EvalStats* stats) {
   const std::vector<ConjunctiveQuery>& disjuncts = ucq.disjuncts();

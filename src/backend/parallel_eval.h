@@ -58,7 +58,7 @@ int EffectiveThreads(int requested, std::size_t num_tasks);
 // an injected "eval.scan" fault), or DeadlineExceeded/Cancelled when
 // options.eval.cancel trips.
 StatusOr<std::vector<Tuple>> ParallelEvaluate(
-    const UnionOfCqs& ucq, const Database& db,
+    const UnionOfCqs& ucq, const DatabaseView& db,
     const ParallelEvalOptions& options = {}, EvalStats* stats = nullptr);
 
 }  // namespace ontorew

@@ -169,21 +169,22 @@ StatusOr<PNodeGraph> PNodeGraph::BuildFromSeeds(
   for (const Tgd& tgd : program.tgds()) rules.push_back(PrepareRule(tgd));
 
   PNodeGraph result;
+  std::unordered_map<std::string, int> node_index;  // Canonical key -> node.
   std::deque<int> worklist;
   bool exhausted = false;
 
-  auto get_or_add_node = [&result, &worklist, &options,
+  auto get_or_add_node = [&result, &node_index, &worklist, &options,
                           &exhausted](PNode node) {
     std::string key = node.Key();
-    auto it = result.node_index_.find(key);
-    if (it != result.node_index_.end()) return it->second;
+    auto it = node_index.find(key);
+    if (it != node_index.end()) return it->second;
     if (result.num_nodes() >= options.max_nodes) {
       exhausted = true;
       return -1;
     }
     int index = result.graph_.AddNode();
     result.nodes_.push_back(std::move(node));
-    result.node_index_.emplace(std::move(key), index);
+    node_index.emplace(std::move(key), index);
     worklist.push_back(index);
     return index;
   };
@@ -313,11 +314,6 @@ StatusOr<PNodeGraph> PNodeGraph::BuildFromSeeds(
                " nodes"));
   }
   return result;
-}
-
-int PNodeGraph::NodeIndexByKey(const std::string& key) const {
-  auto it = node_index_.find(key);
-  return it == node_index_.end() ? -1 : it->second;
 }
 
 std::vector<std::string> PNodeGraph::NodeNames(const Vocabulary& vocab) const {

@@ -2,7 +2,6 @@
 #define ONTOREW_CORE_PNODE_GRAPH_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -75,9 +74,6 @@ class PNodeGraph {
   const std::vector<PNode>& nodes() const { return nodes_; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
-  // Index of the node with this canonical key, or -1.
-  int NodeIndexByKey(const std::string& key) const;
-
   // Provenance of edge `e` (aligned with graph().edges()).
   const EdgeProvenance& edge_provenance(int e) const {
     return edge_provenance_[static_cast<std::size_t>(e)];
@@ -90,7 +86,6 @@ class PNodeGraph {
   LabeledDigraph graph_;
   std::vector<PNode> nodes_;
   std::vector<EdgeProvenance> edge_provenance_;
-  std::unordered_map<std::string, int> node_index_;
 };
 
 }  // namespace ontorew

@@ -16,13 +16,19 @@ namespace {
 // use the per-column indexes as early as possible.
 class Matcher {
  public:
-  Matcher(const std::vector<Atom>& atoms, const Database& db,
+  Matcher(const std::vector<Atom>& atoms, const DatabaseView& db,
           const Binding& initial,
           const std::function<bool(const Binding&)>& callback,
           EvalStats* stats, const CancelScope& cancel)
-      : atoms_(atoms), db_(db), callback_(callback), stats_(stats),
-        cancel_(cancel), binding_(initial) {
+      : atoms_(atoms), callback_(callback), stats_(stats), cancel_(cancel),
+        binding_(initial) {
     used_.resize(atoms.size(), false);
+    // Resolved once: PickNext consults every unused atom's relation at
+    // every depth.
+    relations_.reserve(atoms.size());
+    for (const Atom& atom : atoms) {
+      relations_.push_back(db.Find(atom.predicate()));
+    }
   }
 
   // OK when enumeration ran to completion (or the callback stopped it —
@@ -49,7 +55,7 @@ class Matcher {
     long best_size = 0;
     for (std::size_t i = 0; i < atoms_.size(); ++i) {
       if (used_[i]) continue;
-      const Relation* relation = db_.Find(atoms_[i].predicate());
+      const Relation* relation = relations_[i];
       long size = relation == nullptr ? 0 : relation->size();
       int bound = CountBound(atoms_[i]);
       if (best == -1 || bound > best_bound ||
@@ -106,7 +112,7 @@ class Matcher {
     used_[static_cast<std::size_t>(index)] = true;
 
     bool keep_going = true;
-    const Relation* relation = db_.Find(atom.predicate());
+    const Relation* relation = relations_[static_cast<std::size_t>(index)];
     // A missing relation means no tuples (the predicate is simply empty in
     // this instance). An *arity mismatch*, by contrast, is a vocabulary
     // bug upstream — silently returning zero matches would mask it, so it
@@ -187,7 +193,7 @@ class Matcher {
   }
 
   const std::vector<Atom>& atoms_;
-  const Database& db_;
+  std::vector<const Relation*> relations_;  // Aligned with atoms_.
   const std::function<bool(const Binding&)>& callback_;
   EvalStats* stats_;
   const CancelScope& cancel_;
@@ -217,7 +223,7 @@ Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
   return ForEachMatch(atoms, db, initial, callback, stats, CancelScope());
 }
 
-Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
+Status ForEachMatch(const std::vector<Atom>& atoms, const DatabaseView& db,
                     const Binding& initial,
                     const std::function<bool(const Binding&)>& callback,
                     EvalStats* stats, const CancelScope& cancel) {
@@ -241,7 +247,7 @@ bool HasMatch(const std::vector<Atom>& atoms, const Database& db,
 }
 
 StatusOr<std::vector<Tuple>> TryEvaluate(const ConjunctiveQuery& cq,
-                                         const Database& db,
+                                         const DatabaseView& db,
                                          const EvalOptions& options,
                                          EvalStats* stats) {
   std::set<Tuple> answers;
@@ -274,7 +280,7 @@ StatusOr<std::vector<Tuple>> TryEvaluate(const ConjunctiveQuery& cq,
 }
 
 StatusOr<std::vector<Tuple>> TryEvaluate(const UnionOfCqs& ucq,
-                                         const Database& db,
+                                         const DatabaseView& db,
                                          const EvalOptions& options,
                                          EvalStats* stats) {
   std::set<Tuple> answers;

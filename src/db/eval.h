@@ -47,6 +47,33 @@ struct EvalStats {
   long long matches = 0;
 };
 
+// Where the matcher looks relations up: a base Database plus an optional
+// overlay of request-local relations (the in-memory backend's
+// materialized Datalog aux predicates). Overlay ids must not collide with
+// base ids, so no base data is ever copied to combine the two. Implicitly
+// constructible from a Database, so plain callers pass one unchanged.
+class DatabaseView {
+ public:
+  DatabaseView(const Database& base,  // NOLINT(google-explicit-constructor)
+               const Database* overlay = nullptr)
+      : base_(&base), overlay_(overlay) {}
+
+  // The overlay's relation for `predicate` if it has one, else the
+  // base's; nullptr when neither does.
+  const Relation* Find(PredicateId predicate) const {
+    if (overlay_ != nullptr) {
+      if (const Relation* relation = overlay_->Find(predicate)) {
+        return relation;
+      }
+    }
+    return base_->Find(predicate);
+  }
+
+ private:
+  const Database* base_;
+  const Database* overlay_;
+};
+
 // Enumerates every homomorphism from `atoms` into `db`. The callback
 // returns false to stop enumeration early (which is not an error).
 // Constants in atoms must match constants in tuples; variables bind
@@ -71,8 +98,9 @@ Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
                     const std::function<bool(const Binding&)>& callback,
                     EvalStats* stats);
 
-// Full form: enumeration under a cancellation scope.
-Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
+// Full form: enumeration under a cancellation scope, over a view that may
+// overlay request-local relations on the database.
+Status ForEachMatch(const std::vector<Atom>& atoms, const DatabaseView& db,
                     const Binding& initial,
                     const std::function<bool(const Binding&)>& callback,
                     EvalStats* stats, const CancelScope& cancel);
@@ -88,11 +116,11 @@ bool HasMatch(const std::vector<Atom>& atoms, const Database& db,
 // when options.cancel trips mid-scan (no partial answers are returned),
 // or an injected "eval.scan" fault.
 StatusOr<std::vector<Tuple>> TryEvaluate(const ConjunctiveQuery& cq,
-                                         const Database& db,
+                                         const DatabaseView& db,
                                          const EvalOptions& options = {},
                                          EvalStats* stats = nullptr);
 StatusOr<std::vector<Tuple>> TryEvaluate(const UnionOfCqs& ucq,
-                                         const Database& db,
+                                         const DatabaseView& db,
                                          const EvalOptions& options = {},
                                          EvalStats* stats = nullptr);
 

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/saturating.h"
 #include "base/strings.h"
 #include "base/trace.h"
 #include "logic/canonical.h"
@@ -23,22 +24,6 @@ std::int64_t NsSince(Clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                               start)
       .count();
-}
-
-// Multiplies saturating at INT64_MAX: the implied flat size of the
-// product workload overflows a 32-bit count by design.
-std::int64_t SatMul(std::int64_t a, std::int64_t b) {
-  if (a != 0 && b > std::numeric_limits<std::int64_t>::max() / a) {
-    return std::numeric_limits<std::int64_t>::max();
-  }
-  return a * b;
-}
-
-std::int64_t SatAdd(std::int64_t a, std::int64_t b) {
-  if (b > std::numeric_limits<std::int64_t>::max() - a) {
-    return std::numeric_limits<std::int64_t>::max();
-  }
-  return a + b;
 }
 
 // Backward-reachable predicate spaces: Reach(p) is p plus, transitively,

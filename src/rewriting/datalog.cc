@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -9,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/saturating.h"
 #include "base/strings.h"
 #include "logic/canonical.h"
 
@@ -17,8 +19,9 @@ namespace {
 
 // Unfolding a factored program recovers exactly the input union, so for
 // FactorUcq output this cap can never bite (the rewriter's max_cqs is far
-// smaller); it guards hand-built programs whose expansion multiplies out.
-constexpr std::size_t kMaxUnfoldedDisjuncts = 1u << 20;
+// smaller); it guards programs whose expansion multiplies out, such as
+// the DAG rewriter's product shapes.
+constexpr std::int64_t kMaxUnfoldedDisjuncts = std::int64_t{1} << 20;
 
 std::string AuxDisplayName(int index) { return StrCat("orw", index); }
 
@@ -441,8 +444,36 @@ StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
   return program;
 }
 
+std::int64_t UnfoldedDisjuncts(const DatalogProgram& program) {
+  std::vector<std::int64_t> width;
+  width.reserve(program.aux.size());
+  auto rules_width = [&width](const std::vector<DatalogRule>& rules) {
+    std::int64_t total = 0;
+    for (const DatalogRule& rule : rules) {
+      std::int64_t product = 1;
+      for (const Atom& atom : rule.body) {
+        if (!IsAuxPredicate(atom.predicate())) continue;
+        const int index = AuxIndex(atom.predicate());
+        product = SatMul(product, width[static_cast<std::size_t>(index)]);
+      }
+      total = SatAdd(total, product);
+    }
+    return total;
+  };
+  for (const DatalogAux& aux : program.aux) {
+    width.push_back(rules_width(aux.rules));
+  }
+  return rules_width(program.output);
+}
+
 StatusOr<UnionOfCqs> UnfoldDatalog(const DatalogProgram& program) {
   OREW_RETURN_IF_ERROR(program.Validate());
+  // Counted before anything is built: a program past the cap fails at
+  // once instead of materializing the cap's worth of disjuncts first.
+  if (UnfoldedDisjuncts(program) > kMaxUnfoldedDisjuncts) {
+    return ResourceExhaustedError(
+        StrCat("unfolding exceeds ", kMaxUnfoldedDisjuncts, " disjuncts"));
+  }
   VariableId fresh = MaxVariableId(program) + 1;
 
   UnionOfCqs out;
@@ -462,11 +493,6 @@ StatusOr<UnionOfCqs> UnfoldDatalog(const DatalogProgram& program) {
         ++i;
       }
       if (i == frame.body.size()) {
-        if (out.disjuncts().size() >= kMaxUnfoldedDisjuncts) {
-          return ResourceExhaustedError(
-              StrCat("unfolding exceeds ", kMaxUnfoldedDisjuncts,
-                     " disjuncts"));
-        }
         out.Add(ConjunctiveQuery(out_rule.head, std::move(frame.body)));
         continue;
       }

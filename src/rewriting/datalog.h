@@ -1,6 +1,7 @@
 #ifndef ONTOREW_REWRITING_DATALOG_H_
 #define ONTOREW_REWRITING_DATALOG_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -107,10 +108,19 @@ struct DatalogFactorOptions {
 StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
                                    const DatalogFactorOptions& options = {});
 
+// The exact number of disjuncts UnfoldDatalog returns for a valid
+// `program`, counted without building any, saturating at INT64_MAX: an
+// aux predicate's width is the sum over its rules of the product of the
+// widths of their aux atoms, and the program's is the same sum over its
+// output rules.
+std::int64_t UnfoldedDisjuncts(const DatalogProgram& program);
+
 // Expands every aux atom away, recovering a flat UCQ equivalent to the
 // program (and, for programs produced by FactorUcq, CQ-for-CQ equivalent
-// to the original input union). Inverse of the factoring; also the
-// reference semantics backends without native Datalog support evaluate.
+// to the original input union). Inverse of the factoring, and the test
+// oracle for native Datalog evaluation (no backend unfolds). Fails with
+// ResourceExhausted, before building anything, when UnfoldedDisjuncts
+// exceeds 2^20.
 StatusOr<UnionOfCqs> UnfoldDatalog(const DatalogProgram& program);
 
 // Human-readable listing (aux predicates print as orw0, orw1, ...);

@@ -480,8 +480,8 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
     exec.trace = eval_span.context();
     ScopedTimer timer(&metrics_, exec_ns_metric_);
     // Under kCte the factored program goes to the backend as is (SQLite
-    // runs it as WITH-CTE SQL; the in-memory backend unfolds it); under
-    // kUcq the flat union runs.
+    // runs it as WITH-CTE SQL; the in-memory backend materializes each
+    // aux predicate once); under kUcq the flat union runs.
     StatusOr<std::vector<Tuple>> answers =
         result.datalog != nullptr
             ? options_.backend->ExecuteDatalog(*result.datalog, exec,

@@ -167,8 +167,7 @@ struct AnswerResult {
   // The flat rewriting that was evaluated (shared with the cache; remains
   // valid after eviction). Null under RewriteTarget::kCte, whose cache
   // entries never hold the flat union — the request ran `datalog` instead
-  // (the in-memory backend unfolds it on demand, without caching the
-  // unfolding).
+  // (every backend evaluates the program natively; nothing unfolds it).
   std::shared_ptr<const UnionOfCqs> rewriting;
   // Under RewriteTarget::kCte: the factored Datalog program the request
   // ran (or would run on a SQL backend). Null under kUcq.

@@ -34,8 +34,8 @@ namespace ontorew {
 // hold the union and no Datalog program; RewriteTarget::kCte keys hold
 // the factored Datalog program and NO flat union (the DAG rewriter never
 // materializes it — an entry whose program implies 9^6 disjuncts must
-// not pin them in the cache). Consumers that need a flat union for a cte
-// entry unfold the program on demand.
+// not pin them in the cache). Backends evaluate a cte entry's program
+// natively, so no consumer needs its flat union.
 struct CachedRewriting {
   std::optional<UnionOfCqs> ucq;
   std::optional<DatalogProgram> datalog;

@@ -56,6 +56,11 @@ std::vector<Tuple> ExpectBackendsAgree(const TgdProgram& program,
   return reference;
 }
 
+// Constant c<i>.
+Value PathNode(Vocabulary* vocab, int i) {
+  return Value::Constant(vocab->InternConstant(StrCat("c", i)));
+}
+
 TEST(BackendTest, SingleTableProjectionExecutes) {
   Vocabulary vocab;
   TgdProgram program = MustProgram("r(X, Y) -> s(X).", &vocab);
@@ -380,6 +385,24 @@ TEST(BackendTest, WideDatalogProgramSplitsAcrossCompoundLimit) {
   EXPECT_TRUE(split) << "5 output rules at limit 2 are 3 statements";
 }
 
+// ProductFamily(8) data on a path c0 -> c1 -> ... -> c11 whose members
+// (all but c3) are spread over p and s0..s7: ProductQuery(k) answers
+// with the X0 that start k consecutive members avoiding c3 — c4 and c5
+// for k = 7, c4 alone for k = 8.
+Database ProductPath(Vocabulary* vocab) {
+  Database db;
+  for (int i = 0; i < 12; ++i) {
+    if (i + 1 < 12) {
+      db.Insert(vocab->FindPredicate("r"), {PathNode(vocab, i),
+                                            PathNode(vocab, i + 1)});
+    }
+    if (i == 3) continue;
+    const std::string hub = i % 9 == 8 ? "p" : StrCat("s", i % 9);
+    db.Insert(vocab->FindPredicate(hub), {PathNode(vocab, i)});
+  }
+  return db;
+}
+
 TEST(BackendTest, WideAuxBodyNestsUnderCompoundLimit) {
   // ProductQuery(7) over ProductFamily(8) implies 9^7 disjuncts, past the
   // unfolder's cap (1 << 20), so only native execution can answer it. Its
@@ -394,27 +417,15 @@ TEST(BackendTest, WideAuxBodyNestsUnderCompoundLimit) {
   ASSERT_EQ(dag->program.aux.size(), 1u);
   ASSERT_EQ(dag->program.aux[0].rules.size(), 9u);
   EXPECT_GT(dag->implied_disjuncts, std::int64_t{1} << 20);
-
-  // A path c0 -> c1 -> ... -> c11 whose members (all but c3) are spread
-  // over p and s0..s7: X0 answers where seven consecutive members avoid
-  // c3, i.e. c4 and c5.
-  Database db;
-  auto c = [&vocab](int i) {
-    return Value::Constant(vocab.InternConstant(StrCat("c", i)));
-  };
-  for (int i = 0; i < 12; ++i) {
-    if (i + 1 < 12) db.Insert(vocab.FindPredicate("r"), {c(i), c(i + 1)});
-    if (i == 3) continue;
-    const std::string hub = i % 9 == 8 ? "p" : StrCat("s", i % 9);
-    db.Insert(vocab.FindPredicate(hub), {c(i)});
-  }
+  const Database db = ProductPath(&vocab);
 
   SqliteBackend wide(&vocab);
   ASSERT_TRUE(wide.Load(program, db).ok());
   StatusOr<std::vector<Tuple>> expected =
       wide.ExecuteDatalog(dag->program, {});
   ASSERT_TRUE(expected.ok()) << expected.status();
-  EXPECT_EQ(*expected, (std::vector<Tuple>{{c(4)}, {c(5)}}));
+  EXPECT_EQ(*expected, (std::vector<Tuple>{{PathNode(&vocab, 4)},
+                                           {PathNode(&vocab, 5)}}));
 
   SqliteBackend narrow(&vocab);
   ASSERT_TRUE(narrow.Load(program, db).ok());
@@ -423,6 +434,143 @@ TEST(BackendTest, WideAuxBodyNestsUnderCompoundLimit) {
       narrow.ExecuteDatalog(dag->program, {});
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_EQ(*answers, *expected);
+}
+
+TEST(BackendTest, InMemoryDatalogAnswersPastTheUnfoldCap) {
+  // 9^7 and 9^8 implied disjuncts: the in-memory backend materializes the
+  // one 9-rule aux predicate instead of unfolding, and answers exactly
+  // what SQLite's WITH-CTE statement does.
+  Vocabulary vocab;
+  TgdProgram program = ProductFamily(8, &vocab);
+  const Database db = ProductPath(&vocab);
+  InMemoryBackend memory;
+  ASSERT_TRUE(memory.Load(program, db).ok());
+  SqliteBackend sqlite(&vocab);
+  ASSERT_TRUE(sqlite.Load(program, db).ok());
+  const struct {
+    int k;
+    std::vector<Tuple> expected;
+  } cases[] = {{7, {{PathNode(&vocab, 4)}, {PathNode(&vocab, 5)}}},
+               {8, {{PathNode(&vocab, 4)}}}};
+  for (const auto& [k, expected] : cases) {
+    SCOPED_TRACE(StrCat("k=", k));
+    StatusOr<DagRewriteResult> dag =
+        RewriteToDatalog(UnionOfCqs(ProductQuery(k, &vocab)), program);
+    ASSERT_TRUE(dag.ok()) << dag.status();
+    StatusOr<std::vector<Tuple>> native =
+        memory.ExecuteDatalog(dag->program, {});
+    StatusOr<std::vector<Tuple>> cte = sqlite.ExecuteDatalog(dag->program, {});
+    ASSERT_TRUE(native.ok()) << native.status();
+    ASSERT_TRUE(cte.ok()) << cte.status();
+    EXPECT_EQ(*native, expected);
+    EXPECT_EQ(*cte, expected);
+  }
+}
+
+TEST(BackendTest, InMemoryDatalogDeadlineDuringAuxReturnsNoAnswers) {
+  // An aux rule over 2000 s0 facts scans past the cancel stride: an
+  // expired deadline stops the materialization with DeadlineExceeded,
+  // the output rules never run, and no partial answer set comes back.
+  Vocabulary vocab;
+  TgdProgram program = ProductFamily(8, &vocab);
+  Database db = ProductPath(&vocab);
+  for (int i = 100; i < 2100; ++i) {
+    db.Insert(vocab.FindPredicate("s0"), {PathNode(&vocab, i)});
+  }
+  StatusOr<DagRewriteResult> dag =
+      RewriteToDatalog(UnionOfCqs(ProductQuery(3, &vocab)), program);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  ASSERT_FALSE(dag->program.aux.empty());
+  InMemoryBackend memory;
+  ASSERT_TRUE(memory.Load(program, db).ok());
+  ASSERT_TRUE(memory.ExecuteDatalog(dag->program, {}).ok());
+
+  Trace trace;
+  BackendExecOptions exec;
+  exec.cancel = CancelScope(Deadline::AfterMillis(0));
+  exec.trace = TraceContext(&trace);
+  EvalStats stats;
+  StatusOr<std::vector<Tuple>> answers =
+      memory.ExecuteDatalog(dag->program, exec, &stats);
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kDeadlineExceeded)
+      << answers.status();
+  int aux_spans = 0;
+  for (const SpanRecord& span : trace.Snapshot()) {
+    EXPECT_NE(span.name, "disjunct") << "output rules ran after the deadline";
+    if (span.name != "aux") continue;
+    ++aux_spans;
+    bool deadline = false;
+    for (const auto& [key, value] : span.attributes) {
+      if (key == "status") deadline = value == "DeadlineExceeded";
+    }
+    EXPECT_TRUE(deadline) << "the aux span records why it stopped";
+  }
+  EXPECT_EQ(aux_spans, 1);
+  EXPECT_GT(stats.tuples_examined, 0);
+}
+
+TEST(BackendTest, InMemoryDatalogNullsJoinOnlyWithThemselvesInAux) {
+  // Chased data carries labeled nulls. Inside an aux relation they stay
+  // (a null-bearing aux tuple may still join its way to a certain
+  // answer), join only with the same null, and an output tuple that still
+  // holds one is dropped. Both backends agree.
+  Vocabulary vocab;
+  const PredicateId r = vocab.MustPredicate("r", 2);
+  const PredicateId t = vocab.MustPredicate("t", 2);
+  const PredicateId s = vocab.MustPredicate("s", 1);
+  Database db;
+  const Value a = Value::Constant(vocab.InternConstant("a"));
+  const Value b = Value::Constant(vocab.InternConstant("b"));
+  const Value n0 = db.FreshNull();
+  const Value n1 = db.FreshNull();
+  const Value n2 = db.FreshNull();
+  db.Insert(r, {a, n0});
+  db.Insert(t, {b, n1});
+  db.Insert(r, {n2, a});
+  db.Insert(s, {n0});
+
+  // orw0(X, Y) :- r(X, Y).  orw0(X, Y) :- t(X, Y).
+  const Term x = Term::Var(0);
+  const Term y = Term::Var(1);
+  const Atom orw0(AuxPredicate(0), {x, y});
+  auto program_with = [&](DatalogRule output) {
+    DatalogProgram program;
+    program.arity = 1;
+    program.aux.push_back(DatalogAux{2,
+                                     {DatalogRule{{x, y}, {Atom(r, {x, y})}},
+                                      DatalogRule{{x, y}, {Atom(t, {x, y})}}}});
+    program.output.push_back(std::move(output));
+    return program;
+  };
+  // q(X) :- orw0(X, Y), s(Y): only (a, n0) meets s(n0); (b, n1) does not.
+  const DatalogProgram join =
+      program_with(DatalogRule{{x}, {orw0, Atom(s, {y})}});
+  // q(X) :- orw0(X, Y): n2 is not a certain answer.
+  const DatalogProgram project = program_with(DatalogRule{{x}, {orw0}});
+
+  InMemoryBackend memory;
+  ASSERT_TRUE(memory.Load(TgdProgram(), db).ok());
+  SqliteBackend sqlite(&vocab);
+  ASSERT_TRUE(sqlite.Load(TgdProgram(), db).ok());
+  BackendExecOptions keep_nulls;
+  keep_nulls.drop_tuples_with_nulls = false;
+  const struct {
+    const DatalogProgram& program;
+    BackendExecOptions exec;
+    std::vector<Tuple> expected;
+  } cases[] = {{join, {}, {{a}}},
+               {project, {}, {{a}, {b}}},
+               {project, keep_nulls, {{a}, {b}, {n2}}}};
+  for (const auto& c : cases) {
+    StatusOr<std::vector<Tuple>> native =
+        memory.ExecuteDatalog(c.program, c.exec);
+    StatusOr<std::vector<Tuple>> cte = sqlite.ExecuteDatalog(c.program, c.exec);
+    ASSERT_TRUE(native.ok()) << native.status();
+    ASSERT_TRUE(cte.ok()) << cte.status();
+    EXPECT_EQ(*native, c.expected);
+    EXPECT_EQ(*cte, c.expected);
+  }
 }
 
 TEST(BackendTest, DeadlineMapsToProgressHandler) {

@@ -19,10 +19,11 @@
 
 // The completeness-audit corpus runner: every checked-in repro under
 // tests/corpus/ (each a minimized differential failure, or a hand-written
-// pin of an applicability condition) is replayed on all four evaluation
+// pin of an applicability condition) is replayed on all six evaluation
 // legs — flat rewrite -> InMemory, flat rewrite -> SQLite, factor -> CTE
-// SQL, DAG rewrite -> CTE SQL — plus the chase oracle, and every leg must
-// return exactly the file's [expected] certain answers. Unlike the
+// SQL, factor -> native InMemory Datalog, DAG rewrite -> CTE SQL, DAG
+// rewrite -> native InMemory Datalog — plus the chase oracle, and every
+// leg must return exactly the file's [expected] certain answers. Unlike the
 // randomized differential harness, which checks agreement, this checks
 // ground truth: a bug that breaks all legs the same way still fails here.
 
@@ -76,7 +77,7 @@ TEST(CorpusTest, EveryReproReplaysGreenOnAllLegs) {
     ASSERT_TRUE(parsed.ok()) << parsed.status();
     const CorpusCase& c = *parsed;
 
-    // Flat rewriting feeds the first three legs.
+    // Flat rewriting feeds the first four legs.
     StatusOr<RewriteResult> flat =
         RewriteCq(c.query, c.program, ReplayRewriterOptions());
     ASSERT_TRUE(flat.ok()) << "flat rewrite failed: " << flat.status();
@@ -92,6 +93,8 @@ TEST(CorpusTest, EveryReproReplaysGreenOnAllLegs) {
     StatusOr<DatalogProgram> factored = FactorUcq(flat->ucq);
     ASSERT_TRUE(factored.ok()) << "factoring failed: " << factored.status();
     ExpectLeg("factor/CTE", sqlite.ExecuteDatalog(*factored, {}), c, vocab);
+    ExpectLeg("factor/InMemory", memory.ExecuteDatalog(*factored, {}), c,
+              vocab);
 
     // The DAG leg saturates independently (same saturator, its own gate
     // logic), so it gets its own budget.
@@ -101,6 +104,8 @@ TEST(CorpusTest, EveryReproReplaysGreenOnAllLegs) {
         RewriteToDatalog(UnionOfCqs(c.query), c.program, dag_options);
     ASSERT_TRUE(dag.ok()) << "dag rewrite failed: " << dag.status();
     ExpectLeg("dag/CTE", sqlite.ExecuteDatalog(dag->program, {}), c, vocab);
+    ExpectLeg("dag/InMemory", memory.ExecuteDatalog(dag->program, {}), c,
+              vocab);
 
     // The chase oracle validates the checked-in [expected] itself.
     ChaseOptions chase;

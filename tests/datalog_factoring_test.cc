@@ -1,5 +1,8 @@
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <unordered_set>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "gtest/gtest.h"
 #include "logic/canonical.h"
 #include "rewriting/containment.h"
+#include "rewriting/dag_rewriter.h"
 #include "rewriting/datalog.h"
 #include "rewriting/rewriter.h"
 #include "test_util.h"
@@ -211,6 +215,95 @@ TEST(DatalogFactoringTest, BooleanAndConstantUnionsRoundTrip) {
   constants.Add(MustQuery("q(X) :- p(X), edge(X, a).", &vocab));
   constants.Add(MustQuery("q(X) :- r(X), edge(X, a).", &vocab));
   CheckRoundTrip(constants, "constants");
+}
+
+// UnfoldDatalog counts before it builds: ProductQuery(k) over
+// ProductFamily(8) implies 9^k disjuncts, so k = 7 and k = 8 fail with
+// ResourceExhausted at once, and a 21-fold product of a 9-rule aux
+// (9^21 > INT64_MAX) saturates the count instead of overflowing it.
+TEST(DatalogFactoringTest, UnfoldPastTheCapFailsBeforeBuilding) {
+  auto expect_exhausted = [](const DatalogProgram& program) {
+    StatusOr<UnionOfCqs> unfolded = UnfoldDatalog(program);
+    ASSERT_FALSE(unfolded.ok());
+    EXPECT_EQ(unfolded.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(unfolded.status().message(),
+              "unfolding exceeds 1048576 disjuncts");
+  };
+  Vocabulary vocab;
+  TgdProgram program = ProductFamily(8, &vocab);
+  for (const auto& [k, implied] :
+       {std::pair<int, std::int64_t>{7, 4782969}, {8, 43046721}}) {
+    SCOPED_TRACE(StrCat("k=", k));
+    StatusOr<DagRewriteResult> dag =
+        RewriteToDatalog(UnionOfCqs(ProductQuery(k, &vocab)), program);
+    ASSERT_TRUE(dag.ok()) << dag.status();
+    EXPECT_EQ(UnfoldedDisjuncts(dag->program), implied);
+    expect_exhausted(dag->program);
+  }
+
+  DatalogProgram wide;
+  wide.arity = 0;
+  DatalogAux hub{1, {}};
+  for (int j = 0; j < 9; ++j) {
+    hub.rules.push_back(DatalogRule{
+        {Term::Var(0)},
+        {Atom(vocab.MustPredicate(StrCat("s", j), 1), {Term::Var(0)})}});
+  }
+  wide.aux.push_back(std::move(hub));
+  DatalogRule product;
+  for (int i = 0; i < 21; ++i) {
+    product.body.push_back(Atom(AuxPredicate(0), {Term::Var(i)}));
+  }
+  wide.output.push_back(std::move(product));
+  ASSERT_TRUE(wide.Validate().ok()) << wide.Validate();
+  EXPECT_EQ(UnfoldedDisjuncts(wide), std::numeric_limits<std::int64_t>::max());
+  expect_exhausted(wide);
+}
+
+// Under the cap the count is exact and the unfolding is unchanged:
+// CQ-for-CQ the flat rewriting, nested aux predicates included.
+TEST(DatalogFactoringTest, UnfoldUnderTheCapIsExact) {
+  Vocabulary vocab;
+  TgdProgram program = ProductFamily(3, &vocab);
+  const ConjunctiveQuery query = ProductQuery(4, &vocab);
+  StatusOr<DagRewriteResult> dag =
+      RewriteToDatalog(UnionOfCqs(query), program);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  EXPECT_EQ(UnfoldedDisjuncts(dag->program), 256);
+  StatusOr<UnionOfCqs> unfolded = UnfoldDatalog(dag->program);
+  ASSERT_TRUE(unfolded.ok()) << unfolded.status();
+  EXPECT_EQ(unfolded->size(), 256);
+  StatusOr<RewriteResult> flat = RewriteCq(query, program);
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  std::string missing;
+  EXPECT_TRUE(EachDisjunctHasEquivalent(*unfolded, flat->ucq, &missing))
+      << missing;
+  EXPECT_TRUE(EachDisjunctHasEquivalent(flat->ucq, *unfolded, &missing))
+      << missing;
+
+  // orw1 nests orw0 twice (3 * 3) beside one base rule: width 10; the
+  // output rules contribute 10 * 3 + 1.
+  const PredicateId a = vocab.MustPredicate("a", 1);
+  const PredicateId b = vocab.MustPredicate("b", 1);
+  const PredicateId c = vocab.MustPredicate("c", 1);
+  const Term x = Term::Var(0);
+  DatalogProgram nested;
+  nested.arity = 1;
+  nested.aux.push_back(DatalogAux{
+      1, {DatalogRule{{x}, {Atom(a, {x})}}, DatalogRule{{x}, {Atom(b, {x})}},
+          DatalogRule{{x}, {Atom(c, {x})}}}});
+  const Atom orw0(AuxPredicate(0), {x});
+  const Atom orw1(AuxPredicate(1), {x});
+  nested.aux.push_back(DatalogAux{1,
+                                  {DatalogRule{{x}, {orw0, orw0}},
+                                   DatalogRule{{x}, {Atom(c, {x})}}}});
+  nested.output.push_back(DatalogRule{{x}, {orw1, orw0}});
+  nested.output.push_back(DatalogRule{{x}, {Atom(a, {x})}});
+  ASSERT_TRUE(nested.Validate().ok()) << nested.Validate();
+  EXPECT_EQ(UnfoldedDisjuncts(nested), 31);
+  StatusOr<UnionOfCqs> nested_unfolded = UnfoldDatalog(nested);
+  ASSERT_TRUE(nested_unfolded.ok()) << nested_unfolded.status();
+  EXPECT_EQ(nested_unfolded->size(), 31);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@
 #include "workload/university.h"
 
 // The differential harness — a standing correctness oracle. For each
-// generated (program, query, database) it computes certain answers five
+// generated (program, query, database) it computes certain answers seven
 // ways and fails on any disagreement:
 //
 //   rewrite -> InMemoryBackend      (the evaluator the repo grew up on)
@@ -37,11 +37,15 @@
 //                                   (the same union compiled to
 //                                    nonrecursive Datalog and executed
 //                                    as WITH-CTE SQL)
+//   rewrite -> factor -> InMemoryBackend
+//                                   (that program evaluated natively:
+//                                    aux predicates materialized once)
 //   DAG rewrite -> SqliteBackend    (RewriteToDatalog: the factored
 //                                    program emitted straight from the
 //                                    per-group saturation, its unfolding
 //                                    checked CQ-for-CQ against the flat
 //                                    union, then executed as CTE SQL)
+//   DAG rewrite -> InMemoryBackend  (the DAG program evaluated natively)
 //   chase + evaluate                (the semantics oracle, when it
 //                                    terminates within budget)
 //
@@ -92,6 +96,31 @@ struct DiffOutcome {
   bool agree = true;
   std::string detail;  // Which pair disagreed, with sizes.
 };
+
+// The native in-memory Datalog leg: `program` evaluated bottom-up must
+// answer exactly the flat union's `expected`. Records the disagreement
+// (or error) in *outcome and returns false otherwise.
+bool NativeDatalogAgrees(InMemoryBackend& memory,
+                         const DatalogProgram& program,
+                         const std::vector<Tuple>& expected, const char* leg,
+                         DiffOutcome* outcome) {
+  StatusOr<std::vector<Tuple>> native = memory.ExecuteDatalog(program, {});
+  if (!native.ok()) {
+    outcome->agree = false;
+    outcome->detail = StrCat(leg, " inmemory execution failed: ",
+                             native.status().ToString());
+    return false;
+  }
+  if (*native != expected) {
+    outcome->agree = false;
+    outcome->detail = StrCat("rewrite->inmemory (", expected.size(),
+                             " answers) != ", leg, "->inmemory-datalog (",
+                             native->size(), " answers, ",
+                             program.cte_count(), " aux)");
+    return false;
+  }
+  return true;
+}
 
 // Runs the pipelines on one triple. Hard errors (anything that is
 // not a budget failure) are reported as disagreements: no pipeline may
@@ -166,6 +195,10 @@ DiffOutcome RunTriple(const TgdProgram& program, const Database& db,
                             factored->cte_count(), " CTEs)");
     return outcome;
   }
+  if (!NativeDatalogAgrees(memory, *factored, *from_memory, "factor",
+                           &outcome)) {
+    return outcome;
+  }
 
   // Fourth way: the DAG-native rewriting. Its unfolding must minimize to
   // exactly the flat union (canonical-key multisets — minimal UCQs are
@@ -223,6 +256,10 @@ DiffOutcome RunTriple(const TgdProgram& program, const Database& db,
                             " answers) != dag->sqlite-cte (",
                             from_dag->size(), " answers, ",
                             dag->program.cte_count(), " CTEs)");
+    return outcome;
+  }
+  if (!NativeDatalogAgrees(memory, dag->program, *from_memory, "dag",
+                           &outcome)) {
     return outcome;
   }
 
@@ -336,16 +373,21 @@ std::string EmitCorpusCase(const TgdProgram& program, const Database& db,
   return message;
 }
 
-// One randomized seed: generate, compare, and on disagreement minimize
-// and fail with the repro.
-void RunSeed(std::uint64_t seed, int* compared_backends,
-             int* compared_chase) {
-  Rng rng(seed * 0x9e3779b97f4a7c15ULL + seed);
-  Vocabulary vocab;
+// One generated (program, database, query) triple.
+struct Triple {
   TgdProgram program;
+  Database db;
+  ConjunctiveQuery query;
+};
+
+// The seeded generator every randomized test here draws from.
+Triple GenerateTriple(std::uint64_t seed, Vocabulary* vocab) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + seed);
+  Triple triple;
   if (seed % 2 == 0) {
-    program = RandomLinearProgram(rng.UniformIn(3, 6), rng.UniformIn(3, 5),
-                                  rng.UniformIn(1, 3), 0.4, &rng, &vocab);
+    triple.program =
+        RandomLinearProgram(rng.UniformIn(3, 6), rng.UniformIn(3, 5),
+                            rng.UniformIn(1, 3), 0.4, &rng, vocab);
   } else {
     // The widened family: higher arity plus explicit weight on the two
     // head shapes whose applicability conditions the saturator used to
@@ -365,12 +407,24 @@ void RunSeed(std::uint64_t seed, int* compared_backends,
     options.num_constants = 3;
     options.repeated_existential_head_prob = 0.15;
     options.constant_head_prob = 0.1;
-    program = RandomProgram(options, &rng, &vocab);
+    triple.program = RandomProgram(options, &rng, vocab);
   }
-  Database db = RandomDatabase(program, rng.UniformIn(2, 6),
-                               rng.UniformIn(3, 5), &rng, &vocab);
-  ConjunctiveQuery query = RandomCq(program, rng.UniformIn(1, 3),
-                                    rng.UniformIn(0, 2), &rng, &vocab);
+  triple.db = RandomDatabase(triple.program, rng.UniformIn(2, 6),
+                             rng.UniformIn(3, 5), &rng, vocab);
+  triple.query = RandomCq(triple.program, rng.UniformIn(1, 3),
+                          rng.UniformIn(0, 2), &rng, vocab);
+  return triple;
+}
+
+// One randomized seed: generate, compare, and on disagreement minimize
+// and fail with the repro.
+void RunSeed(std::uint64_t seed, int* compared_backends,
+             int* compared_chase) {
+  Vocabulary vocab;
+  Triple triple = GenerateTriple(seed, &vocab);
+  TgdProgram& program = triple.program;
+  Database& db = triple.db;
+  const ConjunctiveQuery& query = triple.query;
 
   DiffOutcome outcome = RunTriple(program, db, query, &vocab);
   if (outcome.agree) {
@@ -502,6 +556,73 @@ TEST(DifferentialTest, UniversityWorkloadAgrees) {
   // The university ontology is weakly acyclic: the chase oracle must
   // have confirmed every query, not just the backend pair.
   EXPECT_EQ(compared_chase, 9);
+}
+
+// The cross-product shape the native Datalog evaluation exists for:
+// ProductQuery(3) over ProductFamily(3) on a six-node ring, where every
+// leg — the flat 64-arm union, both factored programs on both backends —
+// must agree with the chase. (tests/corpus/ pins ProductQuery(4) with a
+// larger rewriting budget.)
+TEST(DifferentialTest, ProductFamilyAgrees) {
+  Vocabulary vocab;
+  TgdProgram program = ProductFamily(3, &vocab);
+  const ConjunctiveQuery query = ProductQuery(3, &vocab);
+  Database db;
+  auto node = [&vocab](int i) {
+    return Value::Constant(vocab.InternConstant(StrCat("n", i % 6)));
+  };
+  for (int i = 0; i < 6; ++i) {
+    db.Insert(vocab.FindPredicate("r"), {node(i), node(i + 1)});
+    if (i == 5) continue;  // n5 is in no hub relation.
+    db.Insert(vocab.FindPredicate(StrCat("s", i % 3)), {node(i)});
+  }
+  db.Insert(vocab.FindPredicate("p"), {node(0)});
+  DiffOutcome outcome = RunTriple(program, db, query, &vocab);
+  EXPECT_TRUE(outcome.agree) << outcome.detail << "\n"
+                             << Repro(program, db, query, vocab, 0);
+  EXPECT_TRUE(outcome.rewrite_ok);
+  EXPECT_TRUE(outcome.chase_ok);
+}
+
+// Property: native bottom-up evaluation is the unfolding's semantics.
+// Over the randomized generator's seeds, InMemoryBackend::ExecuteDatalog
+// of the DAG program (and of the factored flat union) answers exactly
+// what Execute answers on UnfoldDatalog of the same program.
+TEST(DifferentialTest, NativeDatalogMatchesItsUnfolding) {
+  DiffBudget budget;
+  int compared = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    Vocabulary vocab;
+    const Triple triple = GenerateTriple(seed, &vocab);
+    DagRewriteOptions dag_options;
+    dag_options.rewriter = budget.rewriter;
+    dag_options.rewriter.cancel = CancelScope(Deadline::AfterMillis(2000));
+    StatusOr<DagRewriteResult> dag = RewriteToDatalog(
+        UnionOfCqs(triple.query), triple.program, dag_options);
+    if (!dag.ok() && IsBudgetFailure(dag.status())) continue;
+    ASSERT_TRUE(dag.ok()) << dag.status();
+    std::vector<DatalogProgram> programs = {dag->program};
+    StatusOr<UnionOfCqs> flat = UnfoldDatalog(dag->program);
+    ASSERT_TRUE(flat.ok()) << flat.status();
+    StatusOr<DatalogProgram> factored = FactorUcq(*flat);
+    ASSERT_TRUE(factored.ok()) << factored.status();
+    programs.push_back(*std::move(factored));
+
+    InMemoryBackend memory;
+    ASSERT_TRUE(memory.Load(triple.program, triple.db).ok());
+    for (const DatalogProgram& program : programs) {
+      StatusOr<UnionOfCqs> unfolded = UnfoldDatalog(program);
+      ASSERT_TRUE(unfolded.ok()) << unfolded.status();
+      StatusOr<std::vector<Tuple>> expected = memory.Execute(*unfolded, {});
+      StatusOr<std::vector<Tuple>> native = memory.ExecuteDatalog(program, {});
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      ASSERT_TRUE(native.ok()) << native.status();
+      EXPECT_EQ(*native, *expected) << DatalogToString(program, vocab);
+    }
+    ++compared;
+  }
+  EXPECT_GE(compared, 50) << "too few seeds rewrote within budget";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the request-scoped tracing layer (base/trace): span
 // nesting, attributes, status annotation, the span cap, the indented
-// tree renderer, and the Chrome trace_event JSON export.
+// tree renderer, the Chrome trace_event JSON export, and the spans the
+// in-memory backend records for a Datalog program.
 
 #include "base/trace.h"
 
@@ -12,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/backend.h"
 #include "base/status.h"
+#include "rewriting/dag_rewriter.h"
+#include "workload/generators.h"
 
 namespace ontorew {
 namespace {
@@ -256,6 +260,57 @@ TEST(TraceTest, ConcurrentSpansFromManyThreadsAllRecorded) {
   }
   // The exporters must stay coherent on a big multi-threaded trace.
   EXPECT_NE(trace.ToJson().find("\"droppedSpans\": 0"), std::string::npos);
+}
+
+// The in-memory backend records one "aux" span per materialized aux
+// predicate, with its rule and row counts, beside the output rules'
+// "disjunct" spans, all under the caller's span.
+TEST(TraceTest, InMemoryDatalogRecordsAuxSpansWithRows) {
+  Vocabulary vocab;
+  TgdProgram program = ProductFamily(3, &vocab);
+  StatusOr<DagRewriteResult> dag =
+      RewriteToDatalog(UnionOfCqs(ProductQuery(2, &vocab)), program);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  ASSERT_EQ(dag->program.aux.size(), 1u);
+  // p's four alternatives (p itself, s0..s2) hold a, b, c and d: the aux
+  // relation has four rows.
+  Database db;
+  const char* hubs[] = {"s0", "s1", "s2", "p"};
+  std::vector<Value> nodes;
+  for (int i = 0; i < 4; ++i) {
+    const std::string name(1, static_cast<char>('a' + i));
+    nodes.push_back(Value::Constant(vocab.InternConstant(name)));
+    db.Insert(vocab.FindPredicate(hubs[i]), {nodes.back()});
+  }
+  db.Insert(vocab.FindPredicate("r"), {nodes[0], nodes[1]});
+  InMemoryBackend memory;
+  ASSERT_TRUE(memory.Load(program, db).ok());
+
+  Trace trace;
+  const Trace::SpanId root = trace.BeginSpan("eval");
+  BackendExecOptions exec;
+  exec.num_threads = 1;
+  exec.trace = TraceContext(&trace, root);
+  StatusOr<std::vector<Tuple>> answers =
+      memory.ExecuteDatalog(dag->program, exec);
+  trace.EndSpan(root);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(*answers, std::vector<Tuple>{{nodes[0]}});
+
+  int aux_spans = 0;
+  int disjunct_spans = 0;
+  for (const SpanRecord& span : trace.Snapshot()) {
+    if (span.id == root) continue;
+    EXPECT_EQ(span.parent, root) << span.name;
+    if (span.name == "disjunct") ++disjunct_spans;
+    if (span.name != "aux") continue;
+    ++aux_spans;
+    EXPECT_TRUE(HasAttr(span, "aux", "0"));
+    EXPECT_TRUE(HasAttr(span, "rules", "4"));
+    EXPECT_TRUE(HasAttr(span, "rows", "4"));
+  }
+  EXPECT_EQ(aux_spans, 1);
+  EXPECT_EQ(disjunct_spans, static_cast<int>(dag->program.output.size()));
 }
 
 }  // namespace
