@@ -288,13 +288,7 @@ StatusOr<std::vector<Tuple>> SqliteBackend::Execute(
     const UnionOfCqs& ucq, const BackendExecOptions& options,
     EvalStats* stats) {
   // A UCQ is the program with no aux predicates; its SQL is UcqToSql's.
-  DatalogProgram program;
-  program.arity = ucq.arity();
-  program.output.reserve(ucq.disjuncts().size());
-  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    program.output.push_back(DatalogRule{cq.answer_terms(), cq.body()});
-  }
-  return ExecuteDatalog(program, options, stats);
+  return ExecuteDatalog(UnfactoredProgram(ucq), options, stats);
 }
 
 StatusOr<std::vector<Tuple>> SqliteBackend::ExecuteDatalog(

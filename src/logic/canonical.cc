@@ -140,7 +140,7 @@ class CanonicalLabeler {
     std::string key = StrCat("p", atom.predicate(), "(");
     for (Term t : atom.terms()) {
       if (t.is_constant()) {
-        key += StrCat("c", t.id(), ",");
+        StrAppend(&key, "c", t.id(), ",");
         terms.push_back(t);
         continue;
       }
@@ -149,11 +149,11 @@ class CanonicalLabeler {
         // First occurrence inside this candidate: encode the color, then
         // the assigned canonical id (so repeated fresh variables inside
         // one atom still encode their equality pattern).
-        key += StrCat("w", colors_.at(t.id()), ":", next, ",");
+        StrAppend(&key, "w", colors_.at(t.id()), ":", next, ",");
         it = extended.emplace(t.id(), next).first;
         ++next;
       } else {
-        key += StrCat("v", it->second, ",");
+        StrAppend(&key, "v", it->second, ",");
       }
       terms.push_back(Term::Var(it->second));
     }
@@ -315,23 +315,23 @@ std::uint64_t InvariantCqHash(const ConjunctiveQuery& cq) {
   return h;
 }
 
-std::string CanonicalCqKey(const ConjunctiveQuery& cq) {
-  ConjunctiveQuery canonical = CanonicalizeCq(cq);
+std::string CanonicalFormKey(const ConjunctiveQuery& canonical) {
+  auto append_term = [](std::string* key, Term t) {
+    StrAppend(key, t.is_constant() ? 'c' : 'v', t.id(), ',');
+  };
   std::string key = StrCat("h", canonical.arity(), "[");
-  for (Term t : canonical.answer_terms()) {
-    key += t.is_constant() ? StrCat("c", t.id()) : StrCat("v", t.id());
-    key += ",";
-  }
-  key += "]";
+  for (Term t : canonical.answer_terms()) append_term(&key, t);
+  key += ']';
   for (const Atom& atom : canonical.body()) {
-    key += StrCat("|p", atom.predicate(), "(");
-    for (Term t : atom.terms()) {
-      key += t.is_constant() ? StrCat("c", t.id()) : StrCat("v", t.id());
-      key += ",";
-    }
-    key += ")";
+    StrAppend(&key, "|p", atom.predicate(), "(");
+    for (Term t : atom.terms()) append_term(&key, t);
+    key += ')';
   }
   return key;
+}
+
+std::string CanonicalCqKey(const ConjunctiveQuery& cq) {
+  return CanonicalFormKey(CanonicalizeCq(cq));
 }
 
 }  // namespace ontorew

@@ -30,8 +30,15 @@ namespace ontorew {
 ConjunctiveQuery CanonicalizeCq(const ConjunctiveQuery& cq);
 
 // A deterministic string key for the canonicalized CQ; equal keys imply
-// isomorphic CQs. Suitable as a hash-map key.
+// isomorphic CQs. Suitable as a hash-map key. Equal to
+// CanonicalFormKey(CanonicalizeCq(cq)).
 std::string CanonicalCqKey(const ConjunctiveQuery& cq);
+
+// The key of a CQ that is ALREADY canonical (the output of CanonicalizeCq):
+// renders it without re-running the labeling search. Equal keys imply
+// equal (hence isomorphic) CQs; on a non-canonical CQ the key depends on
+// the variable names and atom order.
+std::string CanonicalFormKey(const ConjunctiveQuery& canonical);
 
 // A 64-bit structural hash of an *already canonicalized* CQ — the cheap
 // stand-in for CanonicalCqKey on the rewriting hot path. Equal canonical

@@ -202,7 +202,7 @@ StatusOr<UnionOfCqs> UnfoldUcq(const UnionOfCqs& ucq,
       ConjunctiveQuery unfolded(std::move(answer), std::move(body));
       if (unfolded.Validate().ok()) {
         ConjunctiveQuery canonical = CanonicalizeCq(unfolded);
-        if (seen.insert(CanonicalCqKey(canonical)).second) {
+        if (seen.insert(CanonicalFormKey(canonical)).second) {
           result.Add(std::move(canonical));
         }
       }

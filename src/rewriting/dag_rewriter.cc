@@ -391,7 +391,7 @@ StatusOr<DagRewriteResult> RewriteToDatalog(const UnionOfCqs& query,
       const ConjunctiveQuery canonical = CanonicalizeCq(cq);
       OREW_ASSIGN_OR_RETURN(
           MemoEntry * entry,
-          memoized_rewrite(StrCat("D|", CanonicalCqKey(canonical)),
+          memoized_rewrite(StrCat("D|", CanonicalFormKey(canonical)),
                            canonical));
       for (const ConjunctiveQuery& out : entry->ucq.disjuncts()) {
         prog.output.push_back(DatalogRule{out.answer_terms(), out.body()});
@@ -423,7 +423,7 @@ StatusOr<DagRewriteResult> RewriteToDatalog(const UnionOfCqs& query,
           ConjunctiveQuery(std::move(answer), std::move(body)));
       OREW_ASSIGN_OR_RETURN(
           MemoEntry * entry,
-          memoized_rewrite(StrCat("G|", CanonicalCqKey(canonical)),
+          memoized_rewrite(StrCat("G|", CanonicalFormKey(canonical)),
                            canonical));
 
       for (const ConjunctiveQuery& out : entry->ucq.disjuncts()) {

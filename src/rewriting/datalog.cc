@@ -267,6 +267,17 @@ Status DatalogProgram::Validate() const {
   return Status::Ok();
 }
 
+DatalogProgram UnfactoredProgram(const UnionOfCqs& ucq) {
+  DatalogProgram program;
+  program.arity = ucq.arity();
+  program.input_disjuncts = ucq.size();
+  program.output.reserve(ucq.disjuncts().size());
+  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
+    program.output.push_back(DatalogRule{cq.answer_terms(), cq.body()});
+  }
+  return program;
+}
+
 StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
                                    const DatalogFactorOptions& options) {
   OREW_RETURN_IF_ERROR(ucq.Validate());
@@ -338,7 +349,7 @@ StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
       for (const FactorSite* site : members) {
         ConjunctiveQuery rule =
             SiteRule(work[static_cast<std::size_t>(site->disjunct)], *site);
-        std::string key = CanonicalCqKey(rule);
+        std::string key = CanonicalFormKey(rule);
         rules.emplace(std::move(key), std::move(rule));
       }
       // A single distinct alternative means the members were isomorphic

@@ -108,6 +108,10 @@ struct DatalogFactorOptions {
 StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
                                    const DatalogFactorOptions& options = {});
 
+// The program with no aux predicates and one output rule per disjunct of
+// `ucq`, in order: the union as is, without the factoring search.
+DatalogProgram UnfactoredProgram(const UnionOfCqs& ucq);
+
 // The exact number of disjuncts UnfoldDatalog returns for a valid
 // `program`, counted without building any, saturating at INT64_MAX: an
 // aux predicate's width is the sum over its rules of the product of the

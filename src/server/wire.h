@@ -48,7 +48,8 @@ struct WireRequest {
   std::int64_t deadline_ms = 0;  // 0 = no deadline.
   bool trace = false;            // Request a span-tree dump (may be shed).
   // Rewrite target override ("target=ucq|cte"): cte asks the engine to
-  // factor the rewriting and run it as WITH-CTE SQL (see
+  // compile the query straight to a factored program with the DAG
+  // rewriter; ucq saturates the flat union and factors it (see
   // AnswerEngineOptions::target). Unset keeps the tenant's default.
   std::optional<RewriteTarget> target;
   std::string query;             // Raw query text, QUERY only.

@@ -8,7 +8,6 @@
 #include "logic/canonical.h"
 #include "rewriting/cte_sql.h"
 #include "rewriting/dag_rewriter.h"
-#include "rewriting/sql.h"
 
 namespace ontorew {
 namespace {
@@ -55,7 +54,7 @@ std::string CacheKeyFor(const UnionOfCqs& query, std::uint64_t fingerprint,
   std::vector<std::string> keys;
   keys.reserve(query.disjuncts().size());
   for (const ConjunctiveQuery& cq : query.disjuncts()) {
-    keys.push_back(CanonicalCqKey(CanonicalizeCq(cq)));
+    keys.push_back(CanonicalFormKey(CanonicalizeCq(cq)));
   }
   // Sorted: a UCQ is a set of disjuncts, so order must not split entries.
   std::sort(keys.begin(), keys.end());
@@ -64,9 +63,9 @@ std::string CacheKeyFor(const UnionOfCqs& query, std::uint64_t fingerprint,
                 StrJoin(keys, "|"));
 }
 
-// Aliases the UCQ member of a cache entry: the returned pointer shares
-// the entry's lifetime, so it stays valid after cache eviction. Null for
-// kCte entries, which hold only the factored program.
+// Aliases the members of a cache entry: the returned pointers share the
+// entry's lifetime, so they stay valid after cache eviction. UcqOf is
+// null for kCte entries, which hold only the factored program.
 std::shared_ptr<const UnionOfCqs> UcqOf(
     const std::shared_ptr<const CachedRewriting>& cached) {
   if (!cached->ucq.has_value()) return nullptr;
@@ -75,8 +74,7 @@ std::shared_ptr<const UnionOfCqs> UcqOf(
 
 std::shared_ptr<const DatalogProgram> DatalogOf(
     const std::shared_ptr<const CachedRewriting>& cached) {
-  if (!cached->datalog.has_value()) return nullptr;
-  return std::shared_ptr<const DatalogProgram>(cached, &*cached->datalog);
+  return std::shared_ptr<const DatalogProgram>(cached, &cached->datalog);
 }
 
 }  // namespace
@@ -256,9 +254,10 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
       rewrite_span.Attr("disjuncts", dag->implied_disjuncts);
       entry->datalog = std::move(dag->program);
     } else {
-      ScopedTimer timer(&metrics_, "rewrite_ns");
-      StatusOr<RewriteResult> rewritten =
-          RewriteUcq(query, *snap.program, rewriter);
+      StatusOr<RewriteResult> rewritten = [&] {
+        ScopedTimer timer(&metrics_, "rewrite_ns");
+        return RewriteUcq(query, *snap.program, rewriter);
+      }();
       if (!rewritten.ok()) {
         rewrite_span.AnnotateStatus(rewritten.status());
         return rewritten.status();
@@ -269,6 +268,34 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
       rewrite_span.Attr(
           "disjuncts",
           static_cast<std::int64_t>(result.ucq.disjuncts().size()));
+      if (shed_optional_work) {
+        // Brownout: the entry is not cached, so factoring would be paid
+        // for one request. The union runs as its zero-aux program.
+        entry->datalog = UnfactoredProgram(result.ucq);
+      } else {
+        // Factored once per cache entry: a wide union ships to the
+        // backend as shared aux predicates instead of one arm per
+        // disjunct. With nothing shared the program has no aux
+        // predicates and its SQL is the plain UNION.
+        TraceSpan factor_span(rewrite_span.context(), "factor");
+        DatalogFactorOptions factor_options;
+        factor_options.cancel = rewriter.cancel;
+        StatusOr<DatalogProgram> factored = [&] {
+          ScopedTimer timer(&metrics_, "factor_ns");
+          return FactorUcq(result.ucq, factor_options);
+        }();
+        if (!factored.ok()) {
+          factor_span.AnnotateStatus(factored.status());
+          rewrite_span.AnnotateStatus(factored.status());
+          return factored.status();
+        }
+        factor_span.Attr("cte_count",
+                         static_cast<std::int64_t>(factored->cte_count()));
+        factor_span.Attr("rules",
+                         static_cast<std::int64_t>(factored->total_rules()));
+        metrics_.Increment("rewrite_factored");
+        entry->datalog = std::move(factored).value();
+      }
       entry->ucq = std::move(result.ucq);
     }
   }
@@ -479,14 +506,11 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
     exec.num_threads = options_.num_threads;
     exec.trace = eval_span.context();
     ScopedTimer timer(&metrics_, exec_ns_metric_);
-    // Under kCte the factored program goes to the backend as is (SQLite
-    // runs it as WITH-CTE SQL; the in-memory backend materializes each
-    // aux predicate once); under kUcq the flat union runs.
+    // Every entry holds a program, whatever the target: SQLite runs it as
+    // WITH-CTE SQL, the in-memory backend materializes each aux predicate
+    // once.
     StatusOr<std::vector<Tuple>> answers =
-        result.datalog != nullptr
-            ? options_.backend->ExecuteDatalog(*result.datalog, exec,
-                                               &result.eval)
-            : options_.backend->Execute(*result.rewriting, exec, &result.eval);
+        options_.backend->ExecuteDatalog(*result.datalog, exec, &result.eval);
     {
       // A data swap since the check above may have reloaded the backend
       // while it evaluated.
@@ -528,10 +552,7 @@ StatusOr<ExplainResult> AnswerEngine::Explain(const UnionOfCqs& query,
 
   {
     TraceSpan emit_span(root.context(), "emit");
-    StatusOr<std::string> sql =
-        explain.datalog != nullptr
-            ? DatalogToCteSql(*explain.datalog, vocab)
-            : UcqToSql(*explain.rewriting, vocab);
+    StatusOr<std::string> sql = DatalogToCteSql(*explain.datalog, vocab);
     if (!sql.ok()) {
       emit_span.AnnotateStatus(sql.status());
       root.AnnotateStatus(sql.status());
@@ -545,10 +566,8 @@ StatusOr<ExplainResult> AnswerEngine::Explain(const UnionOfCqs& query,
       emit_span.Attr("disjuncts", static_cast<std::int64_t>(
                                       explain.rewriting->disjuncts().size()));
     }
-    if (explain.datalog != nullptr) {
-      emit_span.Attr("cte_count", static_cast<std::int64_t>(
-                                      explain.datalog->cte_count()));
-    }
+    emit_span.Attr("cte_count",
+                   static_cast<std::int64_t>(explain.datalog->cte_count()));
   }
   return explain;
 }

@@ -32,9 +32,10 @@
 // be computed once per (program, query-isomorphism-class) and reused for
 // every subsequent evaluation. The engine therefore keeps an LRU cache of
 // rewritings keyed by (program fingerprint, canonical query key), hands
-// the cached rewriting to its Backend for evaluation (an InMemoryBackend
-// sharing the engine's data unless another is configured), and records
-// per-stage counters/timers in a MetricsRegistry.
+// the cached Datalog program to its Backend for evaluation in one call
+// (an InMemoryBackend sharing the engine's data unless another is
+// configured), and records per-stage counters/timers in a
+// MetricsRegistry.
 //
 // Overload safety (see DESIGN.md "Serving layer"): Serve takes a
 // per-request ServeOptions with an absolute deadline and an optional
@@ -86,16 +87,17 @@ struct AnswerEngineOptions {
   int num_threads = 0;
   RewriterOptions rewriter;
   // Default rewrite target (per-request override: ServeOptions::target).
-  // kUcq evaluates the flat union; kCte compiles straight to a
-  // nonrecursive Datalog program (rewriting/dag_rewriter.h) — per-group
-  // memoized saturation that never materializes the flat union — and, on
-  // a SQL backend, executes it as one WITH-CTE statement instead of the
-  // flat UNION. Both targets answer identically; kCte is exponentially
+  // Both targets cache and evaluate a nonrecursive Datalog program; they
+  // differ in how it is computed. kUcq saturates the flat union and
+  // factors it once per cache entry (FactorUcq), keeping the union for
+  // provenance; kCte compiles straight to the program
+  // (rewriting/dag_rewriter.h) — per-group memoized saturation that never
+  // materializes the flat union. On a SQL backend either program runs as
+  // WITH-CTE SQL. Both targets answer identically; kCte is exponentially
   // cheaper on queries with independently-rewritable subgoals (and no
   // worse elsewhere, where it falls back to flat rewriting plus
-  // FactorUcq). Factored programs are cached under target-qualified keys
-  // holding the program alone, so the two targets never alias in the
-  // (possibly shared) cache.
+  // FactorUcq). Entries are cached under target-qualified keys, so the
+  // two targets never alias in the (possibly shared) cache.
   RewriteTarget target = RewriteTarget::kUcq;
   // Certain-answer semantics: answers containing labeled nulls are not
   // certain, so they are dropped by default.
@@ -164,13 +166,13 @@ struct AnswerResult {
   // True when the answers came from the chase fallback (the rewriting
   // below is then null).
   bool served_via_chase = false;
-  // The flat rewriting that was evaluated (shared with the cache; remains
-  // valid after eviction). Null under RewriteTarget::kCte, whose cache
-  // entries never hold the flat union — the request ran `datalog` instead
-  // (every backend evaluates the program natively; nothing unfolds it).
+  // Under kUcq: the flat rewriting `datalog` was factored from (shared
+  // with the cache; remains valid after eviction). Null under
+  // RewriteTarget::kCte, whose cache entries never hold the flat union.
   std::shared_ptr<const UnionOfCqs> rewriting;
-  // Under RewriteTarget::kCte: the factored Datalog program the request
-  // ran (or would run on a SQL backend). Null under kUcq.
+  // The Datalog program the request ran, under either target (every
+  // backend evaluates it natively; nothing unfolds it). Null only when
+  // the chase fallback answered.
   std::shared_ptr<const DatalogProgram> datalog;
   EvalStats eval;
 };
@@ -182,11 +184,11 @@ struct AnswerResult {
 struct ExplainResult {
   // The flat rewriting under kUcq; null under kCte (see AnswerResult).
   std::shared_ptr<const UnionOfCqs> rewriting;
-  // Under RewriteTarget::kCte: the factored program behind `sql`.
+  // The program behind `sql`, under either target.
   std::shared_ptr<const DatalogProgram> datalog;
-  // The SQL the engine would ship: UcqToSql of the rewriting under kUcq,
-  // DatalogToCteSql of the factored program under kCte — rendered against
-  // the caller's vocabulary.
+  // The SQL the engine would ship: DatalogToCteSql of `datalog`, rendered
+  // against the caller's vocabulary. A program with no aux predicates
+  // renders as the plain UNION of its rules.
   std::string sql;
   // The target the explanation was computed for.
   RewriteTarget target = RewriteTarget::kUcq;

@@ -25,20 +25,23 @@
 // Values are shared_ptr<const CachedRewriting>: entries stay valid after
 // eviction for requests still holding them. Keys are also qualified by
 // the rewrite target (RewriteTargetName in AnswerEngine::CacheKey), so a
-// flat-UCQ entry and a factored-Datalog entry for the same query never
-// alias — they cache different artifacts.
+// kUcq entry and a kCte entry for the same query never alias — they
+// cache different artifacts.
 
 namespace ontorew {
 
-// One cached rewriting — exactly one artifact per target. Flat-UCQ keys
-// hold the union and no Datalog program; RewriteTarget::kCte keys hold
-// the factored Datalog program and NO flat union (the DAG rewriter never
-// materializes it — an entry whose program implies 9^6 disjuncts must
-// not pin them in the cache). Backends evaluate a cte entry's program
-// natively, so no consumer needs its flat union.
+// One cached rewriting. Every entry holds the nonrecursive Datalog
+// program that serving evaluates, so a request makes one backend call
+// whatever its target. Flat-UCQ keys also keep the minimized union the
+// program was factored from (results and Explain report it); a wide union
+// runs as shared aux predicates, and with nothing shared the program has
+// no aux predicates. RewriteTarget::kCte keys hold the DAG rewriter's
+// program and NO flat union (the DAG rewriter never materializes it — an
+// entry whose program implies 9^6 disjuncts must not pin them in the
+// cache).
 struct CachedRewriting {
   std::optional<UnionOfCqs> ucq;
-  std::optional<DatalogProgram> datalog;
+  DatalogProgram datalog;
 };
 
 // Cumulative cache statistics (monotonic except `size`).

@@ -1,4 +1,9 @@
+#include <cstdint>
+#include <limits>
+#include <ostream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/interner.h"
@@ -92,10 +97,69 @@ TEST(StringsTest, StrCatMixesTypes) {
   EXPECT_EQ(StrCat(), "");
 }
 
+// What a default std::ostringstream prints for `value`: StrCat's contract.
+template <typename T>
+std::string Streamed(const T& value) {
+  std::ostringstream os;
+  os << value;
+  return os.str();
+}
+
+enum PlainEnum { kPlainZero, kPlainSeven = 7 };
+
+struct Streamable {
+  int x;
+};
+std::ostream& operator<<(std::ostream& os, const Streamable& s) {
+  return os << "<" << s.x << ">";
+}
+
+TEST(StringsTest, StrCatPrintsExactlyWhatAStreamPrints) {
+  const std::int64_t negative = -42;
+  const std::int64_t int64_min = std::numeric_limits<std::int64_t>::min();
+  const std::uint64_t uint64_max = std::numeric_limits<std::uint64_t>::max();
+  const std::size_t size = 123456789;
+  const char plain_char = 'x';
+  const signed char signed_char = 'y';
+  const unsigned char unsigned_char = 'z';
+  const double fraction = 1.0 / 3.0;
+  const double big = 1e20;
+  const std::string_view view = "view";
+  const char* c_string = "c-string";
+  const short small = -7;
+  const unsigned zero = 0;
+
+  EXPECT_EQ(StrCat(negative), Streamed(negative));
+  EXPECT_EQ(StrCat(int64_min), Streamed(int64_min));
+  EXPECT_EQ(StrCat(int64_min), "-9223372036854775808");
+  EXPECT_EQ(StrCat(uint64_max), Streamed(uint64_max));
+  EXPECT_EQ(StrCat(uint64_max), "18446744073709551615");
+  EXPECT_EQ(StrCat(size), Streamed(size));
+  EXPECT_EQ(StrCat(small), Streamed(small));
+  EXPECT_EQ(StrCat(zero), Streamed(zero));
+  EXPECT_EQ(StrCat(plain_char), Streamed(plain_char));
+  EXPECT_EQ(StrCat(signed_char), Streamed(signed_char));
+  EXPECT_EQ(StrCat(unsigned_char), Streamed(unsigned_char));
+  EXPECT_EQ(StrCat(true, false), Streamed(true) + Streamed(false));
+  EXPECT_EQ(StrCat(true, false), "10");
+  EXPECT_EQ(StrCat(fraction), Streamed(fraction));
+  EXPECT_EQ(StrCat(big), Streamed(big));
+  EXPECT_EQ(StrCat(kPlainSeven), Streamed(kPlainSeven));
+  EXPECT_EQ(StrCat(view), Streamed(view));
+  EXPECT_EQ(StrCat(c_string), Streamed(c_string));
+  EXPECT_EQ(StrCat(std::string("str")), "str");
+  EXPECT_EQ(StrCat(Streamable{5}), Streamed(Streamable{5}));
+  EXPECT_EQ(StrCat("p", 3, '(', Streamable{-1}, view, ")"), "p3(<-1>view)");
+}
+
 TEST(StringsTest, StrJoin) {
   std::vector<int> values = {1, 2, 3};
   EXPECT_EQ(StrJoin(values, ", "), "1, 2, 3");
   EXPECT_EQ(StrJoin(std::vector<int>{}, ", "), "");
+  EXPECT_EQ(StrJoin(std::vector<std::int64_t>{-1, 0, 9}, "|"), "-1|0|9");
+  EXPECT_EQ(StrJoin(std::vector<std::string>{"a", "b"}, "::"), "a::b");
+  EXPECT_EQ(StrJoin(std::vector<double>{0.5, 2.0}, ","),
+            Streamed(0.5) + "," + Streamed(2.0));
   EXPECT_EQ(StrJoin(values, "-",
                     [](std::ostream& os, int v) { os << v * 10; }),
             "10-20-30");

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "base/strings.h"
 #include "gtest/gtest.h"
 #include "logic/canonical.h"
 #include "test_util.h"
@@ -33,6 +34,21 @@ TEST(CanonicalTest, KeyInvariantUnderVariableRenaming) {
   ConjunctiveQuery a = MustQuery("q(X) :- r(X, Y), s(Y, Z).", &vocab);
   ConjunctiveQuery b = MustQuery("q(U) :- r(U, V), s(V, W).", &vocab);
   EXPECT_EQ(CanonicalCqKey(a), CanonicalCqKey(b));
+}
+
+TEST(CanonicalTest, FormKeyRendersTheCanonicalFormAsIs) {
+  Vocabulary vocab;
+  ConjunctiveQuery cq = MustQuery("q(X) :- r(X, Y), s(Y, \"a\").", &vocab);
+  const ConjunctiveQuery canonical = CanonicalizeCq(cq);
+  EXPECT_EQ(CanonicalFormKey(canonical), CanonicalCqKey(cq));
+  // No labeling search: a non-canonical spelling renders as written.
+  ConjunctiveQuery renamed = MustQuery("q(B) :- r(B, A), s(A, \"a\").", &vocab);
+  EXPECT_EQ(CanonicalCqKey(renamed), CanonicalCqKey(cq));
+  const PredicateId r = vocab.MustPredicate("r", 2);
+  const ConjunctiveQuery shifted(
+      std::vector<VariableId>{7}, {Atom(r, {Term::Var(7), Term::Var(9)})});
+  EXPECT_EQ(CanonicalFormKey(shifted),
+            StrCat("h1[v7,]|p", r, "(v7,v9,)"));
 }
 
 TEST(CanonicalTest, KeyInvariantUnderAtomPermutation) {
@@ -114,6 +130,10 @@ TEST_P(CanonicalPropertyTest, KeyStableUnderIsomorphism) {
                           shifted);
 
     EXPECT_EQ(CanonicalCqKey(original), CanonicalCqKey(copy))
+        << "round " << round;
+    // Rendering a canonical form is the whole key: labeling once and
+    // rendering gives exactly CanonicalCqKey's key.
+    EXPECT_EQ(CanonicalFormKey(CanonicalizeCq(copy)), CanonicalCqKey(original))
         << "round " << round;
   }
 }

@@ -21,6 +21,8 @@
 #include "classes/weakly_acyclic.h"
 #include "db/eval.h"
 #include "gtest/gtest.h"
+#include "rewriting/cte_sql.h"
+#include "rewriting/sql.h"
 #include "serving/answer_engine.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -795,11 +797,16 @@ TEST(AnswerEngineTest, CteTargetServesIdenticalAnswersOnSqlite) {
   options.backend = std::make_shared<SqliteBackend>(&fx.vocab);
   AnswerEngine engine(fx.ontology, fx.db, options);
 
+  // Both targets run a factored program: kUcq factors its flat union
+  // once per cache entry, kCte compiles one directly.
   ServeOptions as_ucq;
   as_ucq.target = RewriteTarget::kUcq;
   StatusOr<AnswerResult> ucq = engine.Serve(UnionOfCqs(fx.q2), as_ucq);
   ASSERT_TRUE(ucq.ok()) << ucq.status();
-  EXPECT_EQ(ucq->datalog, nullptr);
+  ASSERT_NE(ucq->rewriting, nullptr);
+  ASSERT_NE(ucq->datalog, nullptr);
+  EXPECT_GE(ucq->datalog->cte_count(), 1);
+  EXPECT_EQ(ucq->datalog->input_disjuncts, ucq->rewriting->size());
 
   ServeOptions as_cte;
   as_cte.target = RewriteTarget::kCte;
@@ -810,7 +817,7 @@ TEST(AnswerEngineTest, CteTargetServesIdenticalAnswersOnSqlite) {
 
   EXPECT_EQ(ucq->answers, cte->answers);
   EXPECT_FALSE(cte->answers.empty());  // ada knows bob, both persons.
-  EXPECT_EQ(engine.metrics().Snapshot().Counter("rewrite_factored"), 1);
+  EXPECT_EQ(engine.metrics().Snapshot().Counter("rewrite_factored"), 2);
   EXPECT_GT(engine.metrics().Snapshot().TimerNs("factor_ns"), 0);
 }
 
@@ -835,9 +842,10 @@ TEST(AnswerEngineTest, TargetsNeverAliasInTheCache) {
   CteFixture fx;
   AnswerEngine engine(fx.ontology, fx.db);
   const UnionOfCqs query(fx.q2);
-  // Different artifacts, different keys — a kCte entry (union + factored
-  // program) must never be returned to a kUcq request, even though both
-  // rewrite the same query under the same program.
+  // Different artifacts, different keys — a kCte entry (the DAG
+  // rewriter's program, no union) must never be returned to a kUcq
+  // request (union + its factoring), even though both rewrite the same
+  // query under the same program.
   EXPECT_NE(engine.CacheKey(query, RewriteTarget::kUcq),
             engine.CacheKey(query, RewriteTarget::kCte));
 
@@ -858,8 +866,11 @@ TEST(AnswerEngineTest, TargetsNeverAliasInTheCache) {
   ASSERT_TRUE(again_cte.ok());
   EXPECT_TRUE(again_ucq->cache_hit);
   EXPECT_TRUE(again_cte->cache_hit);
-  EXPECT_EQ(again_ucq->datalog, nullptr);
+  ASSERT_NE(again_ucq->rewriting, nullptr);
+  ASSERT_NE(again_ucq->datalog, nullptr);
+  EXPECT_EQ(again_cte->rewriting, nullptr);
   ASSERT_NE(again_cte->datalog, nullptr);
+  EXPECT_NE(again_ucq->datalog.get(), again_cte->datalog.get());
   EXPECT_EQ(engine.cache_stats().hits, 2);
 }
 
@@ -886,14 +897,16 @@ TEST(AnswerEngineTest, CteCacheEntriesHoldNoFlatUnion) {
   ASSERT_NE(warm->datalog, nullptr);
   EXPECT_EQ(warm->answers, cold->answers);
 
-  // The flat target still exposes the union (and no program): the two
-  // artifact shapes are per-entry, not a global mode.
+  // The flat target still exposes the union, next to the program its
+  // entry factored from it: the two entry shapes are per-target, not a
+  // global mode, and every entry holds a program.
   ServeOptions as_ucq;
   as_ucq.target = RewriteTarget::kUcq;
   StatusOr<AnswerResult> flat = engine.Serve(query, as_ucq);
   ASSERT_TRUE(flat.ok()) << flat.status();
   ASSERT_NE(flat->rewriting, nullptr);
-  EXPECT_EQ(flat->datalog, nullptr);
+  ASSERT_NE(flat->datalog, nullptr);
+  EXPECT_NE(flat->datalog.get(), cold->datalog.get());
   EXPECT_EQ(flat->answers, cold->answers);
 }
 
@@ -981,6 +994,133 @@ TEST(AnswerEngineTraceTest, ColdServeRecordsCompleteSpanTree) {
   const SpanRecord* disjunct = FindSpan(spans, "disjunct");
   ASSERT_NE(disjunct, nullptr);
   EXPECT_EQ(disjunct->parent, eval->id);
+}
+
+std::string SpanAttr(const SpanRecord& span, std::string_view key) {
+  for (const auto& [k, v] : span.attributes) {
+    if (k == key) return v;
+  }
+  return std::string();
+}
+
+// university_q3 saturates into a 1000-disjunct union whose arms share
+// three person(X) slots. Under kUcq, SQLite must run its factoring (CTE
+// statements), not the flat union, and answer exactly as the flat union
+// does on SQLite and as the in-memory backend does.
+TEST(AnswerEngineTraceTest, SqliteServesWideUcqThroughCteStatements) {
+  Vocabulary vocab;
+  TgdProgram ontology = UniversityOntology(&vocab);
+  Rng rng(7);
+  UniversityInstanceOptions instance;
+  instance.num_professors = 3;
+  instance.num_lecturers = 3;
+  instance.num_students = 12;
+  instance.num_phd_students = 3;
+  instance.num_courses = 5;
+  Database db = UniversityInstance(instance, &rng, &vocab);
+  // Each student knows the next two, so the two-hop chains have answers.
+  const PredicateId knows = vocab.MustPredicate("knows", 2);
+  for (int i = 0; i < instance.num_students; ++i) {
+    const Value a = Value::Constant(vocab.InternConstant(StrCat("stud", i)));
+    for (int hop = 1; hop <= 2; ++hop) {
+      const Value b = Value::Constant(vocab.InternConstant(
+          StrCat("stud", (i + hop) % instance.num_students)));
+      db.Insert(knows, {a, b});
+    }
+  }
+  const UnionOfCqs q3(MustQuery(
+      "q(X0) :- person(X0), knows(X0, X1), person(X1), knows(X1, X2), "
+      "person(X2).",
+      &vocab));
+  AnswerEngineOptions options;
+  options.rewriter.max_cqs = 300000;
+  auto sqlite = std::make_shared<SqliteBackend>(&vocab);
+  options.backend = sqlite;
+  AnswerEngine engine(ontology, db, options);
+
+  Trace trace;
+  ServeOptions serve;
+  serve.trace = &trace;
+  serve.target = RewriteTarget::kUcq;
+  StatusOr<AnswerResult> served = engine.Serve(q3, serve);
+  ASSERT_TRUE(served.ok()) << served.status();
+  ExpectAllSpansClosed(trace);
+  ASSERT_NE(served->rewriting, nullptr);
+  ASSERT_NE(served->datalog, nullptr);
+  EXPECT_EQ(served->rewriting->size(), 1000);
+  EXPECT_FALSE(served->answers.empty());
+
+  const std::vector<SpanRecord> spans = trace.Snapshot();
+  const SpanRecord* rewrite = FindSpan(spans, "rewrite");
+  ASSERT_NE(rewrite, nullptr);
+  const SpanRecord* factor = FindSpan(spans, "factor");
+  ASSERT_NE(factor, nullptr) << trace.ToString();
+  EXPECT_EQ(factor->parent, rewrite->id);
+  const SpanRecord* eval = FindSpan(spans, "eval");
+  ASSERT_NE(eval, nullptr);
+  const SpanRecord* emit = FindSpan(spans, "emit");
+  ASSERT_NE(emit, nullptr);
+  EXPECT_EQ(emit->parent, eval->id);
+  EXPECT_GE(std::stoi(SpanAttr(*emit, "cte_count")), 1) << trace.ToString();
+  EXPECT_EQ(SpanAttr(*emit, "cte_count"), SpanAttr(*factor, "cte_count"));
+
+  StatusOr<std::vector<Tuple>> flat = sqlite->Execute(*served->rewriting, {});
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  EXPECT_EQ(served->answers, *flat);
+  AnswerEngineOptions in_memory_options;
+  in_memory_options.rewriter.max_cqs = 300000;
+  AnswerEngine in_memory(ontology, db, in_memory_options);
+  StatusOr<AnswerResult> reference = in_memory.Serve(q3);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_EQ(served->answers, reference->answers);
+}
+
+// Brownout (shed_optional_work): the unminimized union is neither cached
+// nor factored — it runs as its zero-aux program — and answers exactly
+// as the full path does.
+TEST(AnswerEngineTraceTest, BrownoutRunsTheUnionUnfactoredAndUncached) {
+  CteFixture fx;
+  AnswerEngineOptions options;
+  options.backend = std::make_shared<SqliteBackend>(&fx.vocab);
+  AnswerEngine engine(fx.ontology, fx.db, options);
+  const UnionOfCqs query(fx.q2);
+
+  Trace trace;
+  ServeOptions brownout;
+  brownout.trace = &trace;
+  brownout.shed_optional_work = true;
+  StatusOr<AnswerResult> degraded = engine.Serve(query, brownout);
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  ExpectAllSpansClosed(trace);
+  const std::vector<SpanRecord> spans = trace.Snapshot();
+  ASSERT_NE(FindSpan(spans, "rewrite"), nullptr);
+  EXPECT_TRUE(SpanHasAttr(*FindSpan(spans, "rewrite"), "degraded",
+                          "no-minimize"));
+  EXPECT_EQ(FindSpan(spans, "factor"), nullptr) << trace.ToString();
+  const SpanRecord* emit = FindSpan(spans, "emit");
+  ASSERT_NE(emit, nullptr);
+  EXPECT_TRUE(SpanHasAttr(*emit, "cte_count", "0"));
+  ASSERT_NE(degraded->rewriting, nullptr);
+  ASSERT_NE(degraded->datalog, nullptr);
+  EXPECT_EQ(degraded->datalog->cte_count(), 0);
+  EXPECT_EQ(static_cast<int>(degraded->datalog->output.size()),
+            degraded->rewriting->size());
+  EXPECT_EQ(engine.cache_stats().size, 0u);
+  MetricsSnapshot metrics = engine.metrics().Snapshot();
+  EXPECT_EQ(metrics.Counter("rewrite_degraded"), 1);
+  EXPECT_EQ(metrics.Counter("rewrite_factored"), 0);
+  EXPECT_EQ(metrics.TimerNs("factor_ns"), 0);
+
+  // The full path afterwards misses (nothing was cached), factors, and
+  // answers the same.
+  StatusOr<AnswerResult> full = engine.Serve(query);
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_FALSE(full->cache_hit);
+  ASSERT_NE(full->datalog, nullptr);
+  EXPECT_GE(full->datalog->cte_count(), 1);
+  EXPECT_EQ(full->answers, degraded->answers);
+  EXPECT_FALSE(full->answers.empty());
+  EXPECT_EQ(engine.cache_stats().size, 1u);
 }
 
 TEST(AnswerEngineTraceTest, WarmServeTraceShowsCacheHitAndNoRewrite) {
@@ -1098,7 +1238,21 @@ TEST(AnswerEngineTraceTest, CteDeadlineExpiryLeavesPartialDagTrace) {
   ServeOptions serve;
   serve.trace = &trace;
   serve.target = RewriteTarget::kCte;
-  serve.deadline = Deadline::AfterMillis(1);
+  // Long enough for canonicalization and decomposition to finish inside
+  // it on a slow (Debug, TSan) build; a 1 ms deadline could expire before
+  // the first group started. The first saturation step (inside the first
+  // group) then waits until the deadline has passed and lets the step
+  // run, so the real deadline check trips inside that group on the next
+  // step, however fast or slow the build.
+  serve.deadline = Deadline::AfterMillis(250);
+  FaultPointConfig wait_out_deadline;
+  wait_out_deadline.handler = [deadline = serve.deadline](std::string_view) {
+    while (!deadline.expired()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return Status::Ok();
+  };
+  ScopedFault fault("rewrite.step", wait_out_deadline);
   StatusOr<AnswerResult> result = engine.Serve(fx.query, serve);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
@@ -1405,12 +1559,35 @@ TEST(AnswerEngineExplainTest, CteTargetReportsFactoredSql) {
   ASSERT_NE(served->datalog, nullptr);
   EXPECT_EQ(served->datalog.get(), explained->datalog.get());
 
-  // The default-target explanation still shows the flat union.
+  // The default-target explanation still reports the flat union, and
+  // shows the SQL that would run: its factoring, as CTEs.
   StatusOr<ExplainResult> flat = engine.Explain(query, fx.vocab);
   ASSERT_TRUE(flat.ok());
   EXPECT_EQ(flat->target, RewriteTarget::kUcq);
-  EXPECT_EQ(flat->datalog, nullptr);
-  EXPECT_EQ(flat->sql.rfind("SELECT", 0), 0u);
+  ASSERT_NE(flat->rewriting, nullptr);
+  ASSERT_NE(flat->datalog, nullptr);
+  EXPECT_GE(flat->datalog->cte_count(), 1);
+  StatusOr<std::string> flat_sql = DatalogToCteSql(*flat->datalog, fx.vocab);
+  ASSERT_TRUE(flat_sql.ok());
+  EXPECT_EQ(flat->sql, *flat_sql);
+  EXPECT_EQ(flat->sql.rfind("WITH ", 0), 0u) << flat->sql;
+}
+
+TEST(AnswerEngineExplainTest, UnsharedUcqShowsThePlainUnion) {
+  // Nothing to share: the factored program has no aux predicates, and
+  // its SQL is byte-identical to the flat union's.
+  Vocabulary vocab;
+  TgdProgram ontology = UniversityOntology(&vocab);
+  AnswerEngine engine(ontology, Database());
+  const UnionOfCqs query(MustQuery("q(X) :- faculty(X).", &vocab));
+  StatusOr<ExplainResult> explained = engine.Explain(query, vocab);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  ASSERT_NE(explained->rewriting, nullptr);
+  ASSERT_NE(explained->datalog, nullptr);
+  EXPECT_EQ(explained->datalog->cte_count(), 0);
+  StatusOr<std::string> union_sql = UcqToSql(*explained->rewriting, vocab);
+  ASSERT_TRUE(union_sql.ok());
+  EXPECT_EQ(explained->sql, *union_sql);
 }
 
 TEST(AnswerEngineExplainTest, WorksWithoutBackendAndHonoursDeadline) {
