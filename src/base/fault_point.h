@@ -36,6 +36,7 @@
 // Points wired in this codebase (see DESIGN.md "Serving layer" and
 // "Serving over the wire"):
 //   rewrite.step   every saturation-loop iteration in RewriteUcq
+//   datalog.factor every factoring round in FactorUcq
 //   chase.step     every trigger application in RunChase
 //   eval.scan      every tuple examined by the CQ matcher
 //   serve.admit    after admission, before rewriting, in AnswerEngine

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/fault_point.h"
 #include "base/saturating.h"
 #include "base/strings.h"
 #include "logic/canonical.h"
@@ -296,6 +297,7 @@ StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
   std::map<std::string, int> aux_by_signature;
 
   for (int round = 0; round < options.max_rounds; ++round) {
+    OREW_RETURN_IF_ERROR(CheckFaultPoint("datalog.factor"));
     OREW_RETURN_IF_ERROR(options.cancel.Check("datalog factoring"));
 
     // Collect factoring sites across all disjuncts and group by context.

@@ -268,34 +268,30 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
       rewrite_span.Attr(
           "disjuncts",
           static_cast<std::int64_t>(result.ucq.disjuncts().size()));
-      if (shed_optional_work) {
-        // Brownout: the entry is not cached, so factoring would be paid
-        // for one request. The union runs as its zero-aux program.
-        entry->datalog = UnfactoredProgram(result.ucq);
-      } else {
-        // Factored once per cache entry: a wide union ships to the
-        // backend as shared aux predicates instead of one arm per
-        // disjunct. With nothing shared the program has no aux
-        // predicates and its SQL is the plain UNION.
-        TraceSpan factor_span(rewrite_span.context(), "factor");
-        DatalogFactorOptions factor_options;
-        factor_options.cancel = rewriter.cancel;
-        StatusOr<DatalogProgram> factored = [&] {
-          ScopedTimer timer(&metrics_, "factor_ns");
-          return FactorUcq(result.ucq, factor_options);
-        }();
-        if (!factored.ok()) {
-          factor_span.AnnotateStatus(factored.status());
-          rewrite_span.AnnotateStatus(factored.status());
-          return factored.status();
-        }
-        factor_span.Attr("cte_count",
-                         static_cast<std::int64_t>(factored->cte_count()));
-        factor_span.Attr("rules",
-                         static_cast<std::int64_t>(factored->total_rules()));
-        metrics_.Increment("rewrite_factored");
-        entry->datalog = std::move(factored).value();
+      // Factored once per cache entry: a wide union ships to the backend
+      // as shared aux predicates instead of one arm per disjunct. With
+      // nothing shared the program has no aux predicates and its SQL is
+      // the plain UNION. Only the engine-wide scope bounds it: a request
+      // whose deadline passes here still publishes the finished
+      // saturation, so its retry is a cache hit instead of a repeat.
+      TraceSpan factor_span(rewrite_span.context(), "factor");
+      DatalogFactorOptions factor_options;
+      factor_options.cancel = options_.rewriter.cancel;
+      StatusOr<DatalogProgram> factored = [&] {
+        ScopedTimer timer(&metrics_, "factor_ns");
+        return FactorUcq(result.ucq, factor_options);
+      }();
+      if (!factored.ok()) {
+        factor_span.AnnotateStatus(factored.status());
+        rewrite_span.AnnotateStatus(factored.status());
+        return factored.status();
       }
+      factor_span.Attr("cte_count",
+                       static_cast<std::int64_t>(factored->cte_count()));
+      factor_span.Attr("rules",
+                       static_cast<std::int64_t>(factored->total_rules()));
+      metrics_.Increment("rewrite_factored");
+      entry->datalog = std::move(factored).value();
       entry->ucq = std::move(result.ucq);
     }
   }
@@ -508,9 +504,13 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
     ScopedTimer timer(&metrics_, exec_ns_metric_);
     // Every entry holds a program, whatever the target: SQLite runs it as
     // WITH-CTE SQL, the in-memory backend materializes each aux predicate
-    // once.
+    // once. A ucq entry also holds the union it was factored from, which
+    // the in-memory backend answers faster (PrefersFlatUnions).
     StatusOr<std::vector<Tuple>> answers =
-        options_.backend->ExecuteDatalog(*result.datalog, exec, &result.eval);
+        result.rewriting != nullptr && options_.backend->PrefersFlatUnions()
+            ? options_.backend->Execute(*result.rewriting, exec, &result.eval)
+            : options_.backend->ExecuteDatalog(*result.datalog, exec,
+                                               &result.eval);
     {
       // A data swap since the check above may have reloaded the backend
       // while it evaluated.

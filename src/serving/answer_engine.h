@@ -32,8 +32,8 @@
 // be computed once per (program, query-isomorphism-class) and reused for
 // every subsequent evaluation. The engine therefore keeps an LRU cache of
 // rewritings keyed by (program fingerprint, canonical query key), hands
-// the cached Datalog program to its Backend for evaluation in one call
-// (an InMemoryBackend sharing the engine's data unless another is
+// the cached rewriting to its Backend for evaluation in one call (an
+// InMemoryBackend sharing the engine's data unless another is
 // configured), and records per-stage counters/timers in a
 // MetricsRegistry.
 //
@@ -87,10 +87,11 @@ struct AnswerEngineOptions {
   int num_threads = 0;
   RewriterOptions rewriter;
   // Default rewrite target (per-request override: ServeOptions::target).
-  // Both targets cache and evaluate a nonrecursive Datalog program; they
-  // differ in how it is computed. kUcq saturates the flat union and
-  // factors it once per cache entry (FactorUcq), keeping the union for
-  // provenance; kCte compiles straight to the program
+  // Both targets cache a nonrecursive Datalog program; they differ in how
+  // it is computed. kUcq saturates the flat union and factors it once per
+  // cache entry (FactorUcq), keeping the union, which backends that
+  // prefer it run instead (Backend::PrefersFlatUnions); kCte compiles
+  // straight to the program
   // (rewriting/dag_rewriter.h) — per-group memoized saturation that never
   // materializes the flat union. On a SQL backend either program runs as
   // WITH-CTE SQL. Both targets answer identically; kCte is exponentially
@@ -170,9 +171,10 @@ struct AnswerResult {
   // with the cache; remains valid after eviction). Null under
   // RewriteTarget::kCte, whose cache entries never hold the flat union.
   std::shared_ptr<const UnionOfCqs> rewriting;
-  // The Datalog program the request ran, under either target (every
-  // backend evaluates it natively; nothing unfolds it). Null only when
-  // the chase fallback answered.
+  // The Datalog program cached for the request, under either target. The
+  // backend ran it unless it prefers the flat `rewriting` above
+  // (Backend::PrefersFlatUnions). Null only when the chase fallback
+  // answered.
   std::shared_ptr<const DatalogProgram> datalog;
   EvalStats eval;
 };

@@ -30,12 +30,12 @@
 
 namespace ontorew {
 
-// One cached rewriting. Every entry holds the nonrecursive Datalog
-// program that serving evaluates, so a request makes one backend call
-// whatever its target. Flat-UCQ keys also keep the minimized union the
-// program was factored from (results and Explain report it); a wide union
-// runs as shared aux predicates, and with nothing shared the program has
-// no aux predicates. RewriteTarget::kCte keys hold the DAG rewriter's
+// One cached rewriting. Every entry holds a nonrecursive Datalog program,
+// and a request makes one backend call whatever its target. Flat-UCQ
+// keys also keep the minimized union the program was factored from:
+// results and Explain report it, and a backend that prefers flat unions
+// runs it (the in-memory one); elsewhere a wide union runs as shared aux
+// predicates, and with nothing shared the program has no aux predicates. RewriteTarget::kCte keys hold the DAG rewriter's
 // program and NO flat union (the DAG rewriter never materializes it — an
 // entry whose program implies 9^6 disjuncts must not pin them in the
 // cache).

@@ -1075,10 +1075,41 @@ TEST(AnswerEngineTraceTest, SqliteServesWideUcqThroughCteStatements) {
   EXPECT_EQ(served->answers, reference->answers);
 }
 
-// Brownout (shed_optional_work): the unminimized union is neither cached
-// nor factored — it runs as its zero-aux program — and answers exactly
-// as the full path does.
-TEST(AnswerEngineTraceTest, BrownoutRunsTheUnionUnfactoredAndUncached) {
+// A ucq entry holds its union and the program factored from it; the
+// in-memory backend runs the union (PrefersFlatUnions), one "disjunct"
+// span per arm and no aux materialization, while SQLite runs the program.
+TEST(AnswerEngineTraceTest, InMemoryServesUcqEntriesAsTheFlatUnion) {
+  CteFixture fx;
+  AnswerEngine engine(fx.ontology, fx.db);
+  Trace trace;
+  ServeOptions serve;
+  serve.trace = &trace;
+  StatusOr<AnswerResult> served = engine.Serve(UnionOfCqs(fx.q2), serve);
+  ASSERT_TRUE(served.ok()) << served.status();
+  ASSERT_NE(served->rewriting, nullptr);
+  ASSERT_NE(served->datalog, nullptr);
+  EXPECT_GE(served->datalog->cte_count(), 1);
+
+  const std::vector<SpanRecord> spans = trace.Snapshot();
+  EXPECT_EQ(FindSpan(spans, "aux"), nullptr) << trace.ToString();
+  int disjunct_spans = 0;
+  for (const SpanRecord& span : spans) {
+    if (span.name == "disjunct") ++disjunct_spans;
+  }
+  EXPECT_EQ(disjunct_spans, served->rewriting->size());
+
+  AnswerEngineOptions sqlite_options;
+  sqlite_options.backend = std::make_shared<SqliteBackend>(&fx.vocab);
+  AnswerEngine sqlite(fx.ontology, fx.db, sqlite_options);
+  StatusOr<AnswerResult> on_sqlite = sqlite.Serve(UnionOfCqs(fx.q2));
+  ASSERT_TRUE(on_sqlite.ok()) << on_sqlite.status();
+  EXPECT_EQ(on_sqlite->answers, served->answers);
+  EXPECT_FALSE(served->answers.empty());
+}
+
+// Brownout (shed_optional_work): the unminimized union is not cached,
+// and answers exactly as the full path does.
+TEST(AnswerEngineTraceTest, BrownoutServesIdenticalAnswersUncached) {
   CteFixture fx;
   AnswerEngineOptions options;
   options.backend = std::make_shared<SqliteBackend>(&fx.vocab);
@@ -1096,31 +1127,55 @@ TEST(AnswerEngineTraceTest, BrownoutRunsTheUnionUnfactoredAndUncached) {
   ASSERT_NE(FindSpan(spans, "rewrite"), nullptr);
   EXPECT_TRUE(SpanHasAttr(*FindSpan(spans, "rewrite"), "degraded",
                           "no-minimize"));
-  EXPECT_EQ(FindSpan(spans, "factor"), nullptr) << trace.ToString();
-  const SpanRecord* emit = FindSpan(spans, "emit");
-  ASSERT_NE(emit, nullptr);
-  EXPECT_TRUE(SpanHasAttr(*emit, "cte_count", "0"));
-  ASSERT_NE(degraded->rewriting, nullptr);
-  ASSERT_NE(degraded->datalog, nullptr);
-  EXPECT_EQ(degraded->datalog->cte_count(), 0);
-  EXPECT_EQ(static_cast<int>(degraded->datalog->output.size()),
-            degraded->rewriting->size());
   EXPECT_EQ(engine.cache_stats().size, 0u);
-  MetricsSnapshot metrics = engine.metrics().Snapshot();
-  EXPECT_EQ(metrics.Counter("rewrite_degraded"), 1);
-  EXPECT_EQ(metrics.Counter("rewrite_factored"), 0);
-  EXPECT_EQ(metrics.TimerNs("factor_ns"), 0);
+  EXPECT_EQ(engine.metrics().Snapshot().Counter("rewrite_degraded"), 1);
 
-  // The full path afterwards misses (nothing was cached), factors, and
-  // answers the same.
+  // The full path afterwards misses (nothing was cached) and answers the
+  // same.
   StatusOr<AnswerResult> full = engine.Serve(query);
   ASSERT_TRUE(full.ok()) << full.status();
   EXPECT_FALSE(full->cache_hit);
-  ASSERT_NE(full->datalog, nullptr);
-  EXPECT_GE(full->datalog->cte_count(), 1);
   EXPECT_EQ(full->answers, degraded->answers);
   EXPECT_FALSE(full->answers.empty());
   EXPECT_EQ(engine.cache_stats().size, 1u);
+}
+
+// Factoring runs after the saturation under the engine-wide scope only: a
+// request whose deadline passes while its union is being factored still
+// publishes the entry, so a retry with the same budget is a cache hit
+// instead of a repeat of the whole saturation.
+TEST(AnswerEngineTest, FactoringPastTheDeadlineStillCachesTheRewriting) {
+  CteFixture fx;
+  AnswerEngine engine(fx.ontology, fx.db);
+  const UnionOfCqs query(fx.q2);
+  StatusOr<AnswerResult> reference = AnswerEngine(fx.ontology, fx.db)
+                                         .Serve(query);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  ServeOptions first;
+  first.deadline = Deadline::AfterMillis(500);
+  FaultPointConfig wait_out_deadline;
+  wait_out_deadline.handler = [deadline = first.deadline](std::string_view) {
+    while (!deadline.expired()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return Status::Ok();
+  };
+  {
+    ScopedFault fault("datalog.factor", wait_out_deadline);
+    StatusOr<AnswerResult> timed_out = engine.Serve(query, first);
+    ASSERT_FALSE(timed_out.ok());
+    EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_GE(FaultRegistry::Global().trips("datalog.factor"), 1);
+  }
+  EXPECT_EQ(engine.cache_stats().size, 1u);
+
+  ServeOptions retry;
+  retry.deadline = Deadline::AfterMillis(500);
+  StatusOr<AnswerResult> served = engine.Serve(query, retry);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_TRUE(served->cache_hit);
+  EXPECT_EQ(served->answers, reference->answers);
 }
 
 TEST(AnswerEngineTraceTest, WarmServeTraceShowsCacheHitAndNoRewrite) {
